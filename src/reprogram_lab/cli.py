@@ -426,6 +426,10 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except np.linalg.LinAlgError as exc:
+        # a ValueError subclass, but a failure of the library, not the config
+        print(f"error: LinAlgError: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         # parameter combinations the library rejects are configuration errors
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -113,16 +113,11 @@ def loss_value_and_derivative(kind: str, u):
             value = np.exp(-arr)
         slope = -value
     else:
-        value = np.where(
-            arr >= 0.0,
-            np.log1p(np.exp(-np.abs(arr))),
-            -arr + np.log1p(np.exp(-np.abs(arr))),
-        )
-        slope = np.where(
-            arr >= 0.0,
-            -np.exp(-np.abs(arr)) / (1.0 + np.exp(-np.abs(arr))),
-            -1.0 / (1.0 + np.exp(-np.abs(arr))),
-        )
+        tail = np.exp(-np.abs(arr))
+        soft = np.log1p(tail)
+        denom = 1.0 + tail
+        value = np.where(arr >= 0.0, soft, -arr + soft)
+        slope = np.where(arr >= 0.0, -tail / denom, -1.0 / denom)
     if np.isscalar(u):
         return float(value), float(slope)
     return value, slope
@@ -135,6 +130,33 @@ def margin_zero_loss(kind: str) -> float:
     if kind == "logistic":
         return math.log(2.0)
     raise ValueError(f"loss kind must be one of {LOSS_KINDS}")
+
+
+# The forward and backward pass of the net, written once for every trainer.
+# Arrays may carry leading batch axes: xs (..., n, d), ys (..., n),
+# w (..., k, d), a (..., k); a 2-D call is the batch-free case.  Each
+# stacked matmul runs the same BLAS call per batch entry as the 2-D call,
+# so a run gives the same bits alone and inside a batch.
+
+
+def _forward(xs, ys, w, a):
+    """Active mask (..., n, k), hidden outputs (..., n, k) and margins (..., n)."""
+    pre = xs @ w.swapaxes(-1, -2)
+    active = pre > 0.0
+    hidden = np.where(active, pre, 0.0)
+    margins = ys * (hidden @ a[..., None])[..., 0]
+    return active, hidden, margins
+
+
+def _gradient(xs, a, active, hidden, coeff):
+    """(grad_w, grad_a) of sum_i l(margin_i), given coeff_i = l'(margin_i) * y_i.
+
+    The ReLU's subgradient at an exact kink is taken as 0.
+    """
+    grad_a = (hidden.swapaxes(-1, -2) @ coeff[..., None])[..., 0]
+    grad_w = (active * coeff[..., None]).swapaxes(-1, -2) @ xs
+    grad_w *= a[..., None]
+    return grad_w, grad_a
 
 
 def balanced_live_init(
@@ -202,10 +224,7 @@ def train(theta0: WeightVector, dataset: LabeledDataset, cfg: TrainerConfig) -> 
 
     step = 0
     while True:
-        pre = xs @ w.T
-        active = pre > 0.0
-        outputs = np.where(active, pre, 0.0) @ a
-        margins = ys * outputs
+        active, hidden, margins = _forward(xs, ys, w, a)
         values, slopes = loss_value_and_derivative(cfg.loss_kind, margins)
         loss = float(np.sum(values))
         if not math.isfinite(loss):
@@ -217,11 +236,11 @@ def train(theta0: WeightVector, dataset: LabeledDataset, cfg: TrainerConfig) -> 
             record(step, loss, margins)
         if done:
             break
-        coeff = slopes * ys
-        grad_a = np.where(active, pre, 0.0).T @ coeff
-        grad_w = a[:, None] * ((active * coeff[:, None]).T @ xs)
-        w -= cfg.step_size * grad_w
-        a -= cfg.step_size * grad_a
+        grad_w, grad_a = _gradient(xs, a, active, hidden, slopes * ys)
+        grad_w *= cfg.step_size
+        grad_a *= cfg.step_size
+        w -= grad_w
+        a -= grad_a
         if not report.sign_flip_detected and np.any(np.sign(a) != sign0):
             report.sign_flip_detected = True
         step += 1
@@ -230,6 +249,61 @@ def train(theta0: WeightVector, dataset: LabeledDataset, cfg: TrainerConfig) -> 
     report.final_theta = WeightVector(weights=w, outputs=a)
     report.final_loss = report.loss_curve[-1]
     return report
+
+
+def train_to_crossing(
+    thetas: list[WeightVector],
+    datasets: list[LabeledDataset],
+    kind: str,
+    step_size: float,
+    max_steps: int,
+) -> tuple[list[int | None], np.ndarray]:
+    """Train many runs to their first loss crossing as one stacked batch.
+
+    Run i descends from thetas[i] on datasets[i] exactly as :func:`train`
+    does (all runs share one shape).  It leaves the batch at the first
+    step where its total loss is strictly below the margin-zero loss, or
+    at ``max_steps``.  Returns per run that crossing step (None if the
+    budget ran out first) and the minimum margin at the step the run
+    stopped.  Each run's numbers equal, bit for bit, those of ``train``
+    stopped just below the margin-zero loss.  Raises
+    :class:`NonFiniteLoss` if any run's loss leaves the finite range.
+    """
+    if not thetas:
+        return [], np.empty(0)
+    xs = np.stack([data.points for data in datasets])
+    ys = np.stack([data.labels for data in datasets])
+    w = np.stack([theta.weights for theta in thetas])
+    a = np.stack([theta.outputs for theta in thetas])
+    ell0 = margin_zero_loss(kind)
+    runs = np.arange(len(thetas))  # original index of each batch row
+    crossed_at: list[int | None] = [None] * len(thetas)
+    min_margins = np.empty(len(thetas))
+    step = 0
+    while True:
+        active, hidden, margins = _forward(xs, ys, w, a)
+        values, slopes = loss_value_and_derivative(kind, margins)
+        loss = np.sum(values, axis=-1)
+        if not np.all(np.isfinite(loss)):
+            raise NonFiniteLoss(f"loss became non-finite at step {step}")
+        crossed = loss < ell0
+        stop = crossed if step < max_steps else np.ones_like(crossed)
+        if np.any(stop):
+            for run in runs[crossed]:
+                crossed_at[run] = step
+            min_margins[runs[stop]] = np.min(margins[stop], axis=-1)
+            keep = ~stop
+            if not np.any(keep):
+                break
+            runs, xs, ys, w, a = runs[keep], xs[keep], ys[keep], w[keep], a[keep]
+            active, hidden, slopes = active[keep], hidden[keep], slopes[keep]
+        grad_w, grad_a = _gradient(xs, a, active, hidden, slopes * ys)
+        grad_w *= step_size
+        grad_a *= step_size
+        w -= grad_w
+        a -= grad_a
+        step += 1
+    return crossed_at, min_margins
 
 
 @dataclass(frozen=True)

@@ -80,21 +80,6 @@ def forward_batch(net: TwoLayerNet, xs: np.ndarray) -> np.ndarray:
     return np.maximum(xs @ net.weights.T, 0.0) @ net.outputs
 
 
-def relu_subgradient(u: float) -> tuple[float, float]:
-    """Clarke subdifferential of the ReLU at u, as the interval [lo, hi].
-
-    Returns [0, 0] for u < 0, the full interval [0, 1] at the kink u = 0,
-    and [1, 1] for u > 0.
-    """
-    if not math.isfinite(u):
-        raise ValueError("u must be finite")
-    if u < 0.0:
-        return (0.0, 0.0)
-    if u > 0.0:
-        return (1.0, 1.0)
-    return (0.0, 1.0)
-
-
 def network_to_text(net: TwoLayerNet) -> str:
     """Serialise a network to the plain-text record format.
 

@@ -5,13 +5,12 @@ counter-based streams addressed by (master_seed, stream_id), so identical
 seeds replay bitwise-identical sequences and distinct stream ids can be
 handed to independent workers.
 
-Numerical slack lives in three module constants so it can be audited in
+Numerical slack lives in two module constants so it can be audited in
 one place:
 
 * ``LINSOLVE_TOL``  residual bound guaranteed by :func:`min_norm_solve`,
 * ``PD_PIVOT_TOL``  Cholesky pivot floor below which a Gram matrix counts
-  as rank deficient,
-* ``SV_REL_TOL``    relative accuracy target of :func:`singular_extremes`.
+  as rank deficient.
 """
 
 from __future__ import annotations
@@ -20,15 +19,10 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceFailure, GramNotPositiveDefinite
+from .errors import GramNotPositiveDefinite
 
 LINSOLVE_TOL = 1e-10
 PD_PIVOT_TOL = 1e-12
-SV_REL_TOL = 1e-8
-
-# Gram matrices up to this size get a full eigendecomposition; larger ones
-# go through power / shifted-inverse iteration.
-_DENSE_GRAM_LIMIT = 64
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -144,11 +138,6 @@ class SeededRng:
         return out[:count]
 
 
-def std_gaussian_density(u: float) -> float:
-    """Density of a standard Gaussian: exp(-u^2/2) / sqrt(2 pi)."""
-    return math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
-
-
 def cholesky_spd(gram: np.ndarray, pivot_tol: float = PD_PIVOT_TOL) -> np.ndarray:
     """Lower-triangular Cholesky factor of a symmetric positive-definite matrix.
 
@@ -218,67 +207,12 @@ def min_norm_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return p
 
 
-def _power_iteration(gram: np.ndarray, budget: int = 200_000) -> float:
-    # Stop on the symmetric-eigenvalue residual bound
-    # |lambda_est - lambda| <= ||G v - lambda_est v|| for unit v.
-    n = gram.shape[0]
-    vec = SeededRng(0x5EED_1A7C, n).gaussian(n)
-    vec /= np.linalg.norm(vec)
-    for _ in range(budget):
-        image = gram @ vec
-        lam = float(vec @ image)
-        residual = float(np.linalg.norm(image - lam * vec))
-        if residual <= 0.25 * SV_REL_TOL * abs(lam):
-            return lam
-        norm = float(np.linalg.norm(image))
-        if norm == 0.0:
-            return 0.0
-        vec = image / norm
-    raise ConvergenceFailure("power iteration did not converge within budget")
-
-
-def _inverse_iteration(gram: np.ndarray, budget: int = 200_000) -> float:
-    n = gram.shape[0]
-    try:
-        low = cholesky_spd(gram)
-    except GramNotPositiveDefinite as exc:
-        raise ConvergenceFailure(
-            "Gram matrix numerically singular; fall back to a dense decomposition"
-        ) from exc
-    vec = SeededRng(0x5EED_1A7D, n).gaussian(n)
-    vec /= np.linalg.norm(vec)
-    for _ in range(budget):
-        image = gram @ vec
-        lam = float(vec @ image)
-        residual = float(np.linalg.norm(image - lam * vec))
-        if residual <= 0.25 * SV_REL_TOL * abs(lam):
-            return lam
-        pulled = solve_cholesky(low, vec)
-        vec = pulled / np.linalg.norm(pulled)
-    raise ConvergenceFailure("inverse iteration did not converge within budget")
-
-
 def singular_extremes(mat: np.ndarray) -> tuple[float, float]:
-    """Extreme singular values (s_min, s_max) of a matrix.
-
-    Works on the Gram matrix of the smaller side.  Up to size
-    ``_DENSE_GRAM_LIMIT`` the Gram matrix is decomposed exactly; beyond
-    that, the largest eigenvalue comes from power iteration and the
-    smallest from shifted-inverse iteration, both to ``SV_REL_TOL``.
-
-    Raises
-    ------
-    ConvergenceFailure
-        If an iteration budget runs out (ill-conditioned input); callers
-        may then fall back to a dense decomposition of their own.
-    """
+    """Extreme singular values (s_min, s_max) of a matrix, from LAPACK's
+    symmetric eigenvalues of the Gram matrix of its smaller side."""
     w = np.asarray(mat, dtype=np.float64)
     if w.ndim != 2 or w.size == 0:
         raise ValueError("singular_extremes expects a nonempty 2-D matrix")
     gram = w @ w.T if w.shape[0] <= w.shape[1] else w.T @ w
-    if gram.shape[0] <= _DENSE_GRAM_LIMIT:
-        eig = np.linalg.eigvalsh(gram)
-        return math.sqrt(max(float(eig[0]), 0.0)), math.sqrt(max(float(eig[-1]), 0.0))
-    lam_max = _power_iteration(gram)
-    lam_min = _inverse_iteration(gram)
-    return math.sqrt(max(lam_min, 0.0)), math.sqrt(max(lam_max, 0.0))
+    eig = np.linalg.eigvalsh(gram)
+    return math.sqrt(max(float(eig[0]), 0.0)), math.sqrt(max(float(eig[-1]), 0.0))

@@ -38,11 +38,13 @@ from .errors import (
 from .gradient_flow import (
     TrainerConfig,
     WeightVector,
+    _forward,
+    _gradient,
     balanced_live_init,
     convergence_report,
     loss_value_and_derivative,
-    margin_zero_loss,
     train,
+    train_to_crossing,
 )
 from .maxmargin import failure_probability_bound, max_margin_vector
 from .network import forward, random_init
@@ -401,30 +403,29 @@ def theorem2_suite(
     classified correctly at the crossing.
     """
     started = time.perf_counter()
+    datasets = [
+        generate_orthosep(d, n_pos, n_neg, SeededRng(seed, _BASE_THEOREM2 + 2 * i))
+        for i in range(n_datasets)
+    ]
     runs = crossings = correct_after = 0
     per_kind = {"exponential": 0, "logistic": 0}
     worst_steps = 0
-    for i in range(n_datasets):
-        data_rng = SeededRng(seed, _BASE_THEOREM2 + 2 * i)
-        dataset = generate_orthosep(d, n_pos, n_neg, data_rng)
-        for offset, kind in enumerate(("exponential", "logistic")):
-            init_rng = SeededRng(seed, _BASE_THEOREM2 + (1 << 30) + 2 * i + offset)
-            theta0 = balanced_live_init(dataset, k, init_scale, init_rng)
-            ell0 = margin_zero_loss(kind)
-            cfg = TrainerConfig(
-                loss_kind=kind,
-                step_size=step_size,
-                max_steps=max_steps,
-                stop_loss=math.nextafter(ell0, 0.0),
-                record_every=max_steps + 1,
+    for offset, kind in enumerate(("exponential", "logistic")):
+        thetas = [
+            balanced_live_init(
+                dataset, k, init_scale,
+                SeededRng(seed, _BASE_THEOREM2 + (1 << 30) + 2 * i + offset),
             )
-            report = train(theta0, dataset, cfg)
+            for i, dataset in enumerate(datasets)
+        ]
+        crossed_at, min_margins = train_to_crossing(thetas, datasets, kind, step_size, max_steps)
+        for step, min_margin in zip(crossed_at, min_margins):
             runs += 1
-            if report.crossed_margin_loss_at is not None:
+            if step is not None:
                 crossings += 1
                 per_kind[kind] += 1
-                worst_steps = max(worst_steps, report.crossed_margin_loss_at)
-                if report.min_margin_curve[-1] > 0.0:
+                worst_steps = max(worst_steps, step)
+                if min_margin > 0.0:
                     correct_after += 1
     return SuiteVerdict(
         name="theorem2",
@@ -444,31 +445,41 @@ def theorem2_suite(
 
 
 def _total_loss(theta: WeightVector, dataset: LabeledDataset, kind: str) -> float:
-    pre = dataset.points @ theta.weights.T
-    outputs = np.maximum(pre, 0.0) @ theta.outputs
-    values, _ = loss_value_and_derivative(kind, dataset.labels * outputs)
+    margins = _forward(dataset.points, dataset.labels, theta.weights, theta.outputs)[2]
+    values, _ = loss_value_and_derivative(kind, margins)
     return float(np.sum(values))
 
 
-def _log_loss_and_weights(w, a, xs, ys, kind):
-    """Log of the total loss plus per-sample gradient weights, computed
-    with margin shifting so that arbitrarily small losses stay exact."""
-    pre = xs @ w.T
-    act = pre > 0.0
-    margins = ys * (np.where(act, pre, 0.0) @ a)
+def _rescaled_chunk(w, a, xs, ys, kind, step, steps):
+    """``steps`` Euler steps of the time-rescaled flow from (w, a), which
+    are not modified.  The per-sample gradient weights -l'(margin) are
+    scaled by exp(min margin), so they stay exact however small the loss
+    gets."""
+    w, a = w.copy(), a.copy()
+    for _ in range(steps):
+        active, hidden, margins = _forward(xs, ys, w, a)
+        weights = np.exp(margins.min() - margins)
+        if kind == "logistic":
+            weights /= 1.0 + np.exp(-margins)
+        grad_w, grad_a = _gradient(xs, a, active, hidden, weights * ys)
+        grad_w *= step
+        grad_a *= step
+        w += grad_w
+        a += grad_a
+    return w, a
+
+
+def _log_loss(w, a, xs, ys, kind) -> float:
+    """Log of the total loss, computed with margin shifting so that
+    arbitrarily small losses stay exact."""
+    margins = _forward(xs, ys, w, a)[2]
     m_min = float(np.min(margins))
     rel = np.exp(m_min - margins)
     if kind == "logistic":
-        ratio = np.ones_like(margins)
         small = margins < 35.0
         ms = margins[small]
-        ratio[small] = np.exp(ms) * np.log1p(np.exp(-ms))
-        log_loss = -m_min + math.log(float(np.sum(rel * ratio)))
-        weights = rel / (1.0 + np.exp(-margins))
-    else:
-        log_loss = -m_min + math.log(float(np.sum(rel)))
-        weights = rel
-    return log_loss, weights, act, pre
+        rel[small] *= np.exp(ms) * np.log1p(np.exp(-ms))
+    return -m_min + math.log(float(np.sum(rel)))
 
 
 def train_to_directional_limit(
@@ -536,7 +547,7 @@ def train_to_directional_limit(
     damping = 0.5
     rescale_log = 0.0
     s_used = 0.0
-    log_loss = _log_loss_and_weights(w, a, xs, ys, kind)[0]
+    log_loss = _log_loss(w, a, xs, ys, kind)
     previous_direction = None
     while used < budget_steps and s_used < s_budget:
         min_margin = -(log_loss - math.log(len(ys)))
@@ -545,19 +556,12 @@ def train_to_directional_limit(
             w *= alpha
             a *= alpha
             rescale_log -= math.log(alpha)
-            log_loss = _log_loss_and_weights(w, a, xs, ys, kind)[0]
+            log_loss = _log_loss(w, a, xs, ys, kind)
         scale2 = float(np.max(np.sum(w * w, axis=1) + a * a))
         step = damping * 0.5 / (1.0 + scale2 * max_x2)
         steps = min(chunk, budget_steps - used)
-        w_next, a_next = w.copy(), a.copy()
-        for _ in range(steps):
-            _, weights, act, pre = _log_loss_and_weights(w_next, a_next, xs, ys, kind)
-            coeff = weights * ys
-            grad_a = np.where(act, pre, 0.0).T @ coeff
-            grad_w = a_next[:, None] * ((act * coeff[:, None]).T @ xs)
-            w_next += step * grad_w
-            a_next += step * grad_a
-        next_log_loss = _log_loss_and_weights(w_next, a_next, xs, ys, kind)[0]
+        w_next, a_next = _rescaled_chunk(w, a, xs, ys, kind, step, steps)
+        next_log_loss = _log_loss(w_next, a_next, xs, ys, kind)
         if not (math.isfinite(next_log_loss) and next_log_loss <= log_loss + 1e-9):
             damping *= 0.5
             if damping < 1e-14:

@@ -1,8 +1,10 @@
 """Tests for the command-line front end: configuration resolution, exit
 codes, file layout, and byte-level determinism of outputs."""
 
+import numpy as np
 import pytest
 
+from reprogram_lab import cli
 from reprogram_lab.cli import main, parse_config
 from reprogram_lab.errors import ConfigError
 from reprogram_lab.numerics import SeededRng
@@ -111,6 +113,30 @@ class TestExitCodes:
 
     def test_help_exits_0(self):
         assert run_cli(["--help"]) == 0
+
+    def test_linalg_error_is_an_error_not_a_config_error(self, tmp_path, monkeypatch, capsys):
+        # LinAlgError subclasses ValueError, which the CLI reports as a
+        # configuration error; a failing factorisation is the library's
+        def broken_suite(*args, **kwargs):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(cli, "appendix_a_suite", broken_suite)
+        code = run_cli(["verify-appendix-a", "--output_dir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: LinAlgError: Matrix is not positive definite" in err
+        assert "configuration error" not in err
+
+    def test_square_singular_value_shape_writes_a_verdict(self, tmp_path):
+        # sv_k = sv_d = 100: a square 100x100 weight matrix per trial
+        code = run_cli([
+            "verify-appendix-a", "--sv_d", "100", "--sv_k", "100",
+            "--partition_trials", "100", "--sv_trials", "200",
+            "--output_dir", str(tmp_path / "out"),
+        ])
+        assert code in (0, 1)
+        text = (tmp_path / "out" / "verify-appendix-a.verdict.txt").read_text()
+        assert "measured.sv_failure_rate" in text
 
 
 class TestOutputs:

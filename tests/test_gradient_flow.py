@@ -16,6 +16,7 @@ from reprogram_lab.gradient_flow import (
     loss_value_and_derivative,
     margin_zero_loss,
     train,
+    train_to_crossing,
     trajectory_to_csv,
 )
 from reprogram_lab.maxmargin import max_margin_vector
@@ -56,6 +57,25 @@ class TestLossFunctions:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             loss_value_and_derivative("hinge", 0.0)
+
+    def test_logistic_matches_four_exp_formula_bitwise(self):
+        # the logistic branch evaluates exp(-|u|) once; this is the
+        # formula with the exponential written out at each use
+        edges = [0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 800.0, -800.0]
+        u = np.concatenate([edges, np.linspace(-60.0, 60.0, 1201)])
+        value, slope = loss_value_and_derivative("logistic", u)
+        ref_value = np.where(
+            u >= 0.0,
+            np.log1p(np.exp(-np.abs(u))),
+            -u + np.log1p(np.exp(-np.abs(u))),
+        )
+        ref_slope = np.where(
+            u >= 0.0,
+            -np.exp(-np.abs(u)) / (1.0 + np.exp(-np.abs(u))),
+            -1.0 / (1.0 + np.exp(-np.abs(u))),
+        )
+        assert value.tobytes() == ref_value.tobytes()
+        assert slope.tobytes() == ref_slope.tobytes()
 
 
 class TestBalancedLiveInit:
@@ -160,6 +180,104 @@ class TestTrain:
                 assert np.sign(forward(scaled.to_network(), x)) == np.sign(
                     forward(theta.to_network(), x)
                 )
+
+
+def reference_euler(theta, dataset, kind, step_size, steps):
+    """The Euler step of train written out per run, without the kernel."""
+    w, a = theta.weights.copy(), theta.outputs.copy()
+    xs, ys = dataset.points, dataset.labels
+    for _ in range(steps):
+        pre = xs @ w.T
+        active = pre > 0.0
+        margins = ys * (np.where(active, pre, 0.0) @ a)
+        _, slopes = loss_value_and_derivative(kind, margins)
+        coeff = slopes * ys
+        grad_a = np.where(active, pre, 0.0).T @ coeff
+        grad_w = a[:, None] * ((active * coeff[:, None]).T @ xs)
+        w -= step_size * grad_w
+        a -= step_size * grad_a
+    return w, a
+
+
+@pytest.mark.parametrize("kind", ["exponential", "logistic"])
+def test_train_matches_reference_euler_bitwise(kind):
+    for seed in range(3):
+        data = generate_orthosep(3, 3, 2, SeededRng(33, seed))
+        theta0 = balanced_live_init(data, k=5, scale=0.5, rng=SeededRng(34, seed))
+        report = train(theta0, data, TrainerConfig(kind, 1e-2, 500))
+        w, a = reference_euler(theta0, data, kind, 1e-2, 500)
+        assert report.final_theta.weights.tobytes() == w.tobytes()
+        assert report.final_theta.outputs.tobytes() == a.tobytes()
+
+
+def crossing_runs(seed, count):
+    datasets = [generate_orthosep(2, 2, 2, SeededRng(seed, 2 * i)) for i in range(count)]
+    thetas = [
+        balanced_live_init(data, k=4, scale=0.5, rng=SeededRng(seed, 2 * i + 1))
+        for i, data in enumerate(datasets)
+    ]
+    return thetas, datasets
+
+
+def train_each_to_crossing(thetas, datasets, kind, step_size, max_steps):
+    """The per-run reference: train stopped just below the margin-zero loss."""
+    cfg = TrainerConfig(
+        kind, step_size, max_steps,
+        stop_loss=math.nextafter(margin_zero_loss(kind), 0.0),
+        record_every=max_steps + 1,
+    )
+    reports = [train(theta, data, cfg) for theta, data in zip(thetas, datasets)]
+    return (
+        [r.crossed_margin_loss_at for r in reports],
+        np.array([r.min_margin_curve[-1] for r in reports]),
+    )
+
+
+class TestTrainToCrossing:
+    @pytest.mark.parametrize("kind", ["exponential", "logistic"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_per_run_train_bitwise(self, kind, seed):
+        thetas, datasets = crossing_runs(seed, 6)
+        steps, margins = train_to_crossing(thetas, datasets, kind, 1e-3, 1_000_000)
+        ref_steps, ref_margins = train_each_to_crossing(thetas, datasets, kind, 1e-3, 1_000_000)
+        assert None not in steps
+        assert steps == ref_steps
+        assert margins.tobytes() == ref_margins.tobytes()
+
+    @pytest.mark.parametrize("kind", ["exponential", "logistic"])
+    def test_budget_exhausted_runs_have_no_crossing(self, kind):
+        thetas, datasets = crossing_runs(4, 6)
+        full_steps, _ = train_to_crossing(thetas, datasets, kind, 1e-3, 1_000_000)
+        # a budget between the fastest and the slowest crossing
+        budget = sorted(full_steps)[len(full_steps) // 2]
+        steps, margins = train_to_crossing(thetas, datasets, kind, 1e-3, budget)
+        ref_steps, ref_margins = train_each_to_crossing(thetas, datasets, kind, 1e-3, budget)
+        assert None in steps and any(s is not None for s in steps)
+        assert steps == [s if s <= budget else None for s in full_steps]
+        assert steps == ref_steps
+        assert margins.tobytes() == ref_margins.tobytes()
+
+    def test_one_non_finite_run_raises(self):
+        # the contradictory labels of test_non_finite_loss_raises, batched
+        # with a run that trains normally
+        clash = LabeledDataset(
+            points=np.array([[1.0, 0.0], [1.0, 0.0]]), labels=np.array([1.0, -1.0])
+        )
+        fine = LabeledDataset(
+            points=np.array([[1.0, 0.0], [-1.0, 0.0]]), labels=np.array([1.0, -1.0])
+        )
+        thetas = [
+            balanced_live_init(fine, k=4, scale=0.5, rng=SeededRng(30, 1)),
+            balanced_live_init(clash, k=4, scale=0.5, rng=SeededRng(30, 0)),
+        ]
+        steps, _ = train_to_crossing(thetas[:1], [fine], "exponential", 1e6, 10_000)
+        assert steps == [1]
+        with pytest.raises(NonFiniteLoss):
+            train_to_crossing(thetas, [fine, clash], "exponential", 1e6, 10_000)
+
+    def test_no_runs(self):
+        steps, margins = train_to_crossing([], [], "logistic", 1e-3, 10)
+        assert steps == [] and margins.size == 0
 
 
 def total_loss(theta, dataset, kind):

@@ -13,7 +13,6 @@ from reprogram_lab.network import (
     network_from_text,
     network_to_text,
     random_init,
-    relu_subgradient,
 )
 from reprogram_lab.numerics import SeededRng
 
@@ -97,21 +96,6 @@ class TestForward:
             net = random_init(d, k, SeededRng(9, i))
             outputs[i] = forward(net, x)
         assert abs(outputs.var() - 0.5) < 0.05
-
-
-class TestReluSubgradient:
-    def test_negative_input(self):
-        assert relu_subgradient(-3.0) == (0.0, 0.0)
-
-    def test_kink(self):
-        assert relu_subgradient(0.0) == (0.0, 1.0)
-
-    def test_positive_input(self):
-        assert relu_subgradient(7.0) == (1.0, 1.0)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            relu_subgradient(math.nan)
 
 
 class TestSerialisation:

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from reprogram_lab.errors import ExponentConditionViolated, HypothesisViolated
+from reprogram_lab.gradient_flow import balanced_live_init
+from reprogram_lab.numerics import SeededRng
 from reprogram_lab.verify import (
     BOUND_C1,
     BOUND_C2,
@@ -26,8 +28,10 @@ from reprogram_lab.verify import (
     theorem1_rhs,
     theorem2_suite,
     validate_exponents,
+    train_to_directional_limit,
     verdict_to_text,
 )
+from reprogram_lab.verify import _log_loss, _rescaled_chunk
 
 SMALL_T1 = Theorem1Config(
     d=256, k=41, rho=256**0.3, tau=256**-0.2,
@@ -232,6 +236,73 @@ class TestCorollary2Suite:
         a = verdict_to_text(corollary2_suite(seed=12))
         b = verdict_to_text(corollary2_suite(seed=12))
         assert strip_runtime(a) == strip_runtime(b)
+
+
+def reference_log_loss_and_weights(w, a, xs, ys, kind):
+    """The directional-limit step's loss and weights, written out without
+    the shared kernel."""
+    pre = xs @ w.T
+    act = pre > 0.0
+    margins = ys * (np.where(act, pre, 0.0) @ a)
+    m_min = float(np.min(margins))
+    rel = np.exp(m_min - margins)
+    if kind == "logistic":
+        ratio = np.ones_like(margins)
+        small = margins < 35.0
+        ms = margins[small]
+        ratio[small] = np.exp(ms) * np.log1p(np.exp(-ms))
+        log_loss = -m_min + math.log(float(np.sum(rel * ratio)))
+        weights = rel / (1.0 + np.exp(-margins))
+    else:
+        log_loss = -m_min + math.log(float(np.sum(rel)))
+        weights = rel
+    return log_loss, weights, act, pre
+
+
+def reference_chunk(w, a, xs, ys, kind, step, steps):
+    w, a = w.copy(), a.copy()
+    for _ in range(steps):
+        _, weights, act, pre = reference_log_loss_and_weights(w, a, xs, ys, kind)
+        coeff = weights * ys
+        grad_a = np.where(act, pre, 0.0).T @ coeff
+        grad_w = a[:, None] * ((act * coeff[:, None]).T @ xs)
+        w += step * grad_w
+        a += step * grad_a
+    return w, a
+
+
+class TestDirectionalLimitStep:
+    @pytest.mark.parametrize("kind", ["exponential", "logistic"])
+    @pytest.mark.parametrize("trained", [False, True])
+    def test_chunks_match_reference_bitwise(self, kind, trained):
+        # from the initialisation, margins sit near 0, below the logistic
+        # cutoff of 35; after 4000 training steps they are in the hundreds
+        # or more, deep in the margin-shifted range
+        data = four_point_dataset()
+        xs, ys = data.points, data.labels
+        theta = balanced_live_init(data, 8, 0.1, SeededRng(41, 0))
+        if trained:
+            theta = train_to_directional_limit(theta, data, kind, 1e-3, 4000)[0]
+        w, a = theta.weights, theta.outputs
+        ref_w, ref_a = w.copy(), a.copy()
+        max_x2 = float(np.max(np.sum(xs * xs, axis=1)))
+        for _ in range(3):
+            log_loss = _log_loss(w, a, xs, ys, kind)
+            assert log_loss == reference_log_loss_and_weights(w, a, xs, ys, kind)[0]
+            step = 0.5 / (1.0 + float(np.max(np.sum(w * w, axis=1) + a * a)) * max_x2)
+            w, a = _rescaled_chunk(w, a, xs, ys, kind, step, 1000)
+            ref_w, ref_a = reference_chunk(ref_w, ref_a, xs, ys, kind, step, 1000)
+            assert w.tobytes() == ref_w.tobytes()
+            assert a.tobytes() == ref_a.tobytes()
+
+    def test_chunk_leaves_its_input_alone(self):
+        data = four_point_dataset()
+        theta = balanced_live_init(data, 8, 0.1, SeededRng(42, 0))
+        before = theta.copy()
+        _rescaled_chunk(theta.weights, theta.outputs, data.points, data.labels,
+                        "exponential", 1e-2, 10)
+        assert theta.weights.tobytes() == before.weights.tobytes()
+        assert theta.outputs.tobytes() == before.outputs.tobytes()
 
 
 class TestPropositionSuite:
