@@ -1,4 +1,4 @@
-"""Small dense linear algebra, special functions, and seeded randomness.
+"""Small dense linear algebra on numpy's LAPACK, and seeded randomness.
 
 Every routine is deterministic given its inputs.  Random draws come from
 counter-based streams addressed by (master_seed, stream_id), so identical
@@ -9,8 +9,8 @@ Numerical slack lives in two module constants so it can be audited in
 one place:
 
 * ``LINSOLVE_TOL``  residual bound guaranteed by :func:`min_norm_solve`,
-* ``PD_PIVOT_TOL``  Cholesky pivot floor below which a Gram matrix counts
-  as rank deficient.
+* ``PD_PIVOT_TOL``  floor on the pivots of LAPACK's Cholesky factor,
+  below which a Gram matrix counts as rank deficient.
 """
 
 from __future__ import annotations
@@ -138,53 +138,20 @@ class SeededRng:
         return out[:count]
 
 
-def cholesky_spd(gram: np.ndarray, pivot_tol: float = PD_PIVOT_TOL) -> np.ndarray:
-    """Lower-triangular Cholesky factor of a symmetric positive-definite matrix.
-
-    Raises :class:`GramNotPositiveDefinite` as soon as a pivot falls below
-    ``pivot_tol``, which is how rank deficiency surfaces to callers.
-    """
-    a = np.asarray(gram, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("cholesky_spd expects a square matrix")
-    n = a.shape[0]
-    low = np.zeros((n, n))
-    for j in range(n):
-        pivot = a[j, j] - low[j, :j] @ low[j, :j]
-        if pivot < pivot_tol:
-            raise GramNotPositiveDefinite(
-                f"Cholesky pivot {pivot:.3e} below {pivot_tol:g} at column {j}"
-            )
-        diag = math.sqrt(pivot)
-        low[j, j] = diag
-        if j + 1 < n:
-            low[j + 1 :, j] = (a[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / diag
-    return low
-
-
-def solve_cholesky(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (L L^T) x = rhs given the lower Cholesky factor L."""
-    n = low.shape[0]
-    y = np.asarray(rhs, dtype=np.float64).copy()
-    for i in range(n):
-        y[i] = (y[i] - low[i, :i] @ y[:i]) / low[i, i]
-    for i in range(n - 1, -1, -1):
-        y[i] = (y[i] - low[i + 1 :, i] @ y[i + 1 :]) / low[i, i]
-    return y
-
-
 def min_norm_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Minimum-Euclidean-norm solution p of an underdetermined system mat p = rhs.
 
     ``mat`` is k-by-d with k <= d and linearly independent rows.  Computes
-    p = matᵀ (mat matᵀ)⁻¹ rhs via Cholesky on the k-by-k Gram matrix; the
-    result satisfies ``norm(mat @ p - rhs) <= LINSOLVE_TOL * max(1, norm(rhs))``.
+    p = matᵀ (mat matᵀ)⁻¹ rhs via LAPACK's Cholesky factor L of the k-by-k
+    Gram matrix; the result satisfies
+    ``norm(mat @ p - rhs) <= LINSOLVE_TOL * max(1, norm(rhs))``.
 
     Raises
     ------
     GramNotPositiveDefinite
-        If the Gram matrix has a Cholesky pivot below ``PD_PIVOT_TOL``
-        (linearly dependent rows, including the case k > d).
+        If the Gram matrix is not positive definite or has a Cholesky
+        pivot L[j, j]² below ``PD_PIVOT_TOL`` (linearly dependent rows,
+        including the case k > d).
     """
     w = np.asarray(mat, dtype=np.float64)
     b = np.asarray(rhs, dtype=np.float64)
@@ -192,9 +159,21 @@ def min_norm_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise ValueError("min_norm_solve expects a 2-D matrix")
     if b.shape != (w.shape[0],):
         raise ValueError("right-hand side length must equal the row count")
-    gram = w @ w.T
-    low = cholesky_spd(gram)
-    p = w.T @ solve_cholesky(low, b)
+    try:
+        low = np.linalg.cholesky(w @ w.T)
+    except np.linalg.LinAlgError as exc:
+        raise GramNotPositiveDefinite(f"Gram matrix is not positive definite: {exc}") from exc
+    # LAPACK accepts any positive pivot; the floor also rejects tiny ones.
+    pivots = np.diag(low) ** 2
+    if np.any(pivots < PD_PIVOT_TOL):
+        raise GramNotPositiveDefinite(
+            f"smallest Cholesky pivot {pivots.min():.3e} is below {PD_PIVOT_TOL:g}"
+        )
+
+    def solve_gram(vec: np.ndarray) -> np.ndarray:
+        return np.linalg.solve(low.T, np.linalg.solve(low, vec))
+
+    p = w.T @ solve_gram(b)
     # Iterative refinement keeps the residual at the contract level even
     # for ill-conditioned Gram matrices; corrections live in the row
     # space, so minimality is preserved.
@@ -203,7 +182,7 @@ def min_norm_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         residual = b - w @ p
         if float(np.linalg.norm(residual)) <= goal:
             break
-        p += w.T @ solve_cholesky(low, residual)
+        p += w.T @ solve_gram(residual)
     return p
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .data_models import BernoulliModel, sample_bernoulli
 from .errors import ChannelMismatch, TieEncountered, WidthExceedsDimension
-from .gradient_flow import loss_value_and_derivative
+from .gradient_flow import _forward, loss_value_and_derivative
 from .network import TwoLayerNet, forward_batch
 from .numerics import SeededRng, min_norm_solve
 
@@ -276,10 +276,7 @@ def optimize_program(
     for _ in range(steps):
         xs, ys = sample_bernoulli(model, batch, rng)
         p = cap * q / (1.0 + np.abs(q))
-        pre = (xs + p[None, :]) @ net.weights.T
-        active = pre > 0.0
-        outputs = np.maximum(pre, 0.0) @ net.outputs
-        margins = m * ys * outputs
+        active, _, margins = _forward(xs + p, m * ys, net.weights, net.outputs)
         value, slope = loss_value_and_derivative("logistic", margins)
         losses.append(float(np.mean(value)))
         d_out = slope * (m * ys) / batch

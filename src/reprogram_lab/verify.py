@@ -182,6 +182,17 @@ def theorem1_rhs(
     return scale * inner
 
 
+def _reprogram_trial(rng: SeededRng, d: int, k: int, rho: float, tau: float) -> float:
+    """y * N(p + x) for a fresh random network, task direction, analytic
+    program p and labelled sample (x, y), all drawn from ``rng``."""
+    net = random_init(d, k, rng)
+    phi = random_hypercube_direction(d, rng)
+    program = construct_program(net, phi)
+    model = BernoulliModel(direction=phi, radius=rho, bias=tau)
+    xs, ys = sample_bernoulli(model, 1, rng)
+    return ys[0] * forward(net, program.offset + xs[0])
+
+
 def _theorem1_block(args) -> tuple[int, int, int]:
     """One block of independent (network, direction, sample) trials.
 
@@ -191,18 +202,12 @@ def _theorem1_block(args) -> tuple[int, int, int]:
     seed, start, count, d, k, rho, tau, rhs = args
     violations = successes = errors = 0
     for i in range(start, start + count):
-        rng = SeededRng(seed, _BASE_THEOREM1 + i)
-        net = random_init(d, k, rng)
-        phi = random_hypercube_direction(d, rng)
         try:
-            program = construct_program(net, phi)
+            value = _reprogram_trial(SeededRng(seed, _BASE_THEOREM1 + i), d, k, rho, tau)
         except (TieEncountered, GramNotPositiveDefinite):
             errors += 1
             violations += 1
             continue
-        model = BernoulliModel(direction=phi, radius=rho, bias=tau)
-        xs, ys = sample_bernoulli(model, 1, rng)
-        value = ys[0] * forward(net, program.offset + xs[0])
         if not value > rhs:
             violations += 1
         if value > 0.0:
@@ -303,12 +308,7 @@ def _corollary1_block(args) -> int:
     successes = 0
     for i in range(start, start + count):
         rng = SeededRng(seed, _BASE_COROLLARY1 + (d << 24) + i)
-        net = random_init(d, k, rng)
-        phi = random_hypercube_direction(d, rng)
-        program = construct_program(net, phi)
-        model = BernoulliModel(direction=phi, radius=rho, bias=tau)
-        xs, ys = sample_bernoulli(model, 1, rng)
-        if ys[0] * forward(net, program.offset + xs[0]) > 0.0:
+        if _reprogram_trial(rng, d, k, rho, tau) > 0.0:
             successes += 1
     return successes
 
@@ -402,6 +402,8 @@ def theorem2_suite(
     crossings in 100% of runs and checks that every training point is
     classified correctly at the crossing.
     """
+    if n_datasets < 1:
+        raise ValueError("datasets must be at least 1")
     started = time.perf_counter()
     datasets = [
         generate_orthosep(d, n_pos, n_neg, SeededRng(seed, _BASE_THEOREM2 + 2 * i))
@@ -671,17 +673,6 @@ def signed_vertex_against(delta: np.ndarray, m: int) -> np.ndarray:
     return -m * signs / math.sqrt(d)
 
 
-def _least_squares_program(weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Minimum-norm least-squares solve of W p = bias via the spectral
-    pseudo-inverse of the Gram matrix.  Trained weight matrices are
-    numerically rank deficient, so the exact solver does not apply."""
-    gram = weights @ weights.T
-    eigval, eigvec = np.linalg.eigh(gram)
-    cutoff = 1e-10 * float(eigval[-1])
-    inverse = np.where(eigval > cutoff, 1.0 / np.where(eigval > cutoff, eigval, 1.0), 0.0)
-    return weights.T @ (eigvec @ (inverse * (eigvec.T @ bias)))
-
-
 def proposition_suite(
     seed: int,
     d: int = 64,
@@ -708,8 +699,12 @@ def proposition_suite(
     hypothesis), and the reprogrammed accuracy of the zero program, the
     analytic program built from the trained weights, and a
     gradient-optimised program must each stay within the closed-form
-    bound plus three binomial standard errors.
+    bound plus three binomial standard errors.  Trained weights are
+    numerically rank deficient, so the analytic program is the
+    pseudo-inverse solution of W p = b rather than the exact solve.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     started = time.perf_counter()
     data = generate_orthosep(d, n_pos, n_neg, SeededRng(seed, _BASE_PROPOSITION))
     theta0 = balanced_live_init(data, k, init_scale, SeededRng(seed, _BASE_PROPOSITION + 1))
@@ -739,9 +734,9 @@ def proposition_suite(
         programs = {"zero": np.zeros(d)}
         scores = net.outputs * (net.weights @ phi)
         unhelpful = np.flatnonzero(scores < -1e-12 * float(np.max(np.abs(scores))))
-        programs["analytic"] = _least_squares_program(
-            net.weights, build_target_bias(d, k, unhelpful)
-        )
+        bias = build_target_bias(d, k, unhelpful)
+        # eigenvalues of W Wᵀ above 1e-10 λmax are singular values above 1e-5 σmax
+        programs["analytic"] = np.linalg.pinv(net.weights, rcond=1e-5) @ bias
         programs["optimized"], _ = optimize_program(
             net, model, m, opt_steps, opt_lr, opt_batch, SeededRng(seed, stream)
         )
@@ -785,6 +780,8 @@ def appendix_a_suite(
     weight matrices violate the closed-form concentration bounds at rate
     at most gamma plus three standard errors.
     """
+    if partition_trials < 1 or sv_trials < 1:
+        raise ValueError("partition_trials and sv_trials must be at least 1")
     started = time.perf_counter()
     measured = {"partition_trials": partition_trials, "sv_trials": sv_trials}
     threshold = {}

@@ -111,6 +111,19 @@ class TestExitCodes:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("command,key", [
+        ("verify-theorem2", "datasets"),
+        ("verify-appendix-a", "partition_trials"),
+        ("verify-appendix-a", "sv_trials"),
+        ("verify-proposition", "trials"),
+    ])
+    def test_zero_evidence_is_a_config_error(self, tmp_path, capsys, command, key):
+        # a suite with no runs or no trials must neither pass nor crash
+        code = run_cli([command, f"--{key}", "0", "--output_dir", str(tmp_path / "out")])
+        assert code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "out" / f"{command}.verdict.txt").exists()
+
     def test_help_exits_0(self):
         assert run_cli(["--help"]) == 0
 

@@ -9,7 +9,6 @@ from reprogram_lab.errors import GramNotPositiveDefinite
 from reprogram_lab.numerics import (
     LINSOLVE_TOL,
     SeededRng,
-    cholesky_spd,
     min_norm_solve,
     singular_extremes,
 )
@@ -92,25 +91,18 @@ class TestMinNormSolve:
         with pytest.raises(GramNotPositiveDefinite):
             min_norm_solve(mat, np.array([1.0, 2.0]))
 
+    def test_tiny_positive_pivot_rejected(self):
+        # LAPACK factors this Gram matrix with a last pivot of about 1e-14;
+        # the explicit floor must still reject it
+        mat = np.array([[1.0, 0.0, 0.0], [1.0, 1e-7, 0.0]])
+        with pytest.raises(GramNotPositiveDefinite, match="below"):
+            min_norm_solve(mat, np.array([1.0, 2.0]))
+
     def test_more_rows_than_columns_rejected(self):
         rng = SeededRng(33, 0)
         mat = rng.gaussian(5 * 3).reshape(5, 3)
         with pytest.raises(GramNotPositiveDefinite):
             min_norm_solve(mat, np.ones(5))
-
-
-class TestCholesky:
-    def test_factorisation_reconstructs(self):
-        rng = SeededRng(34, 0)
-        half = rng.gaussian(6 * 6).reshape(6, 6)
-        gram = half @ half.T + 0.5 * np.eye(6)
-        low = cholesky_spd(gram)
-        np.testing.assert_allclose(low @ low.T, gram, atol=1e-12)
-        assert np.allclose(low, np.tril(low))
-
-    def test_pivot_floor_raises(self):
-        with pytest.raises(GramNotPositiveDefinite):
-            cholesky_spd(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
 class TestSingularExtremes:

@@ -6,11 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from reprogram_lab.data_models import BernoulliModel, random_hypercube_direction
+from reprogram_lab.data_models import BernoulliModel, random_hypercube_direction, sample_bernoulli
 from reprogram_lab.errors import ChannelMismatch, TieEncountered, WidthExceedsDimension
 from reprogram_lab.network import TwoLayerNet, random_init
+from reprogram_lab.gradient_flow import loss_value_and_derivative
 from reprogram_lab.numerics import SeededRng
 from reprogram_lab.reprogram import (
+    SOFTSIGN_SCALE,
     ProgramImage,
     bilinear_resize,
     build_target_bias,
@@ -355,6 +357,38 @@ class TestOptimizeProgram:
         )
         acc_after, _ = reprogrammed_accuracy(net, final, model, 1, 4000, SeededRng(97, 3))
         assert acc_after >= acc_before - 2.0 * se_before
+
+
+    @pytest.mark.parametrize("seed", [1, 5, 8191])
+    @pytest.mark.parametrize("m", [1, -1])
+    def test_matches_inline_forward_reference(self, seed, m):
+        # the optimizer's trajectory, with the forward pass written out
+        d, k, steps, lr, batch = 32, 6, 40, 0.05, 16
+        rng = SeededRng(seed, 0)
+        net = random_init(d, k, rng)
+        model = BernoulliModel(direction=random_hypercube_direction(d, rng), radius=3.0, bias=0.3)
+        offset, losses = optimize_program(net, model, m, steps, lr, batch, SeededRng(seed, 1))
+
+        ref_rng = SeededRng(seed, 1)
+        cap = SOFTSIGN_SCALE * math.sqrt(d)
+        start = 2.0 * ref_rng.random_open(d) - 1.0
+        q = start / (1.0 - np.abs(start))
+        ref_losses = []
+        for _ in range(steps):
+            xs, ys = sample_bernoulli(model, batch, ref_rng)
+            p = cap * q / (1.0 + np.abs(q))
+            pre = (xs + p[None, :]) @ net.weights.T
+            active = pre > 0.0
+            outputs = np.maximum(pre, 0.0) @ net.outputs
+            margins = m * ys * outputs
+            value, slope = loss_value_and_derivative("logistic", margins)
+            ref_losses.append(float(np.mean(value)))
+            d_out = slope * (m * ys) / batch
+            d_p = net.weights.T @ ((active * net.outputs[None, :]).T @ d_out)
+            d_q = d_p * cap / (1.0 + np.abs(q)) ** 2
+            q -= lr * d_q
+        assert offset.tobytes() == (cap * q / (1.0 + np.abs(q))).tobytes()
+        assert losses == ref_losses
 
 
 class TestBuildTargetBias:

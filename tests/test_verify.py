@@ -9,6 +9,7 @@ import pytest
 from reprogram_lab.errors import ExponentConditionViolated, HypothesisViolated
 from reprogram_lab.gradient_flow import balanced_live_init
 from reprogram_lab.numerics import SeededRng
+from reprogram_lab.reprogram import build_target_bias
 from reprogram_lab.verify import (
     BOUND_C1,
     BOUND_C2,
@@ -311,6 +312,25 @@ class TestPropositionSuite:
         assert verdict.passed
         for key, limit in verdict.threshold.items():
             assert verdict.measured[key] <= limit
+
+    @pytest.mark.parametrize("rank,tail", [(2, 0.0), (2, 1e-6), (8, 0.0)])
+    def test_pseudo_inverse_program_matches_eigh_reference(self, rank, tail):
+        # the analytic program of a trained (rank-deficient) network is
+        # pinv(W, rcond=1e-5) @ b; the reference is the spectral
+        # pseudo-inverse of W Wᵀ with eigenvalue cutoff 1e-10 * lambda_max.
+        # A nonzero tail adds a singular value near 1e-6 sigma_max, which
+        # both cutoffs must drop.
+        rng = SeededRng(43, rank)
+        factor = rng.gaussian(8 * rank).reshape(8, rank)
+        weights = factor @ rng.gaussian(rank * 64).reshape(rank, 64)
+        weights += tail * np.outer(rng.gaussian(8), rng.gaussian(64))
+        bias = build_target_bias(64, 8, np.array([1, 4, 6]))
+        eigval, eigvec = np.linalg.eigh(weights @ weights.T)
+        cutoff = 1e-10 * float(eigval[-1])
+        inverse = np.where(eigval > cutoff, 1.0 / np.where(eigval > cutoff, eigval, 1.0), 0.0)
+        reference = weights.T @ (eigvec @ (inverse * (eigvec.T @ bias)))
+        program = np.linalg.pinv(weights, rcond=1e-5) @ bias
+        np.testing.assert_allclose(program, reference, rtol=0.0, atol=1e-12)
 
     def test_signed_vertex_maximises_alignment(self):
         delta = np.array([0.3, -2.0, 0.0, 1.4])
