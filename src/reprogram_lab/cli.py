@@ -36,6 +36,7 @@ from .verify import (
     SuiteVerdict,
     Theorem1Config,
     appendix_a_suite,
+    available_cpus,
     corollary1_sweep,
     corollary2_suite,
     proposition_suite,
@@ -87,7 +88,7 @@ _SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
         "gamma": ("float", 0.01),
         "gamma_dag": ("float", 0.01),
         "trials": ("int", 2000),
-        "workers": ("int", 1),
+        "workers": ("int", None),  # defaults to the available CPUs
     },
     "sweep-corollary1": {
         **_COMMON,
@@ -96,7 +97,7 @@ _SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
         "eta_tau": ("float", 0.2),
         "d_list": ("int_list", (256, 1024, 4096)),
         "trials": ("int", 2000),
-        "workers": ("int", 1),
+        "workers": ("int", None),  # defaults to the available CPUs
     },
     "verify-theorem2": {
         **_COMMON,
@@ -237,6 +238,8 @@ def parse_config(command: str, argv: list[str]) -> dict:
         env = os.environ.get(SEED_ENV_VAR)
         values["seed"] = int(env) if env else DEFAULT_SEED
 
+    if "workers" in schema and values["workers"] is None:
+        values["workers"] = available_cpus()
     if command == "verify-theorem1":
         if values["rho"] is None:
             values["rho"] = float(values["d"]) ** 0.3

@@ -3,7 +3,12 @@
 Every routine is deterministic given its inputs.  Random draws come from
 counter-based streams addressed by (master_seed, stream_id), so identical
 seeds replay bitwise-identical sequences and distinct stream ids can be
-handed to independent workers.
+handed to independent workers.  Gaussians come from Box-Muller computed
+in cache-sized blocks straight into the output array.
+
+:func:`one_blas_thread` holds numpy's bundled OpenBLAS to one thread, so
+that threads running trials side by side do not oversubscribe the cores
+and LAPACK results do not depend on the machine's BLAS thread count.
 
 Numerical slack lives in two module constants so it can be audited in
 one place:
@@ -15,7 +20,12 @@ one place:
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import math
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -28,6 +38,10 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _SECOND = 0xD1B54A32D192ED03
 _TO_UNIT = 2.0 ** -53
+# Box-Muller pairs per block.  A power of two, so that every block but the
+# last is a whole number of SIMD vectors and each element meets the same
+# ufunc loop path as in one call over the whole array.
+_GAUSSIAN_BLOCK = 1 << 13
 
 
 def _mix64_int(value: int) -> int:
@@ -78,15 +92,20 @@ class SeededRng:
         )
         self._counter = 0
 
+    def _words(self, position: int, count: int) -> np.ndarray:
+        """Raw words at stream positions position+1 .. position+count."""
+        z = np.arange(1 + position, 1 + position + count, dtype=np.uint64)
+        z *= _UGOLDEN
+        z += self._key
+        return _mix64_inplace(z)
+
     def uniform64(self, count: int) -> np.ndarray:
         """Next ``count`` raw 64-bit words as a uint64 array."""
         if count < 0:
             raise ValueError("count must be nonnegative")
-        z = np.arange(1 + self._counter, 1 + self._counter + count, dtype=np.uint64)
+        z = self._words(self._counter, count)
         self._counter += count
-        z *= _UGOLDEN
-        z += self._key
-        return _mix64_inplace(z)
+        return z
 
     def random(self, count: int) -> np.ndarray:
         """Uniform float64 samples in [0, 1)."""
@@ -115,27 +134,80 @@ class SeededRng:
 
         Each uniform pair yields two variates (cosine block first, then
         the sine block); an odd ``count`` discards the final sine variate.
+        The pairs are computed ``_GAUSSIAN_BLOCK`` at a time, so the
+        temporaries stay in cache and the output is the only large array.
         """
+        if count < 0:
+            raise ValueError("count must be nonnegative")
         if count == 0:
             return np.empty(0)
         pairs = (count + 1) // 2
-        bits = self.uniform64(2 * pairs)
-        bits >>= np.uint64(11)
-        flt = bits.astype(np.float64)
-        u1 = flt[:pairs]
-        u1 += 1.0
-        u1 *= _TO_UNIT  # (0, 1]: log never sees zero
-        angle = flt[pairs:]
-        angle *= _TO_UNIT * (2.0 * math.pi)
-        np.log(u1, out=u1)
-        u1 *= -2.0
-        radius = np.sqrt(u1, out=u1)
+        start = self._counter
+        self._counter += 2 * pairs
         out = np.empty(2 * pairs)
-        np.cos(angle, out=out[:pairs])
-        np.sin(angle, out=out[pairs:])
-        out[:pairs] *= radius
-        out[pairs:] *= radius
+        for first in range(0, pairs, _GAUSSIAN_BLOCK):
+            n = min(_GAUSSIAN_BLOCK, pairs - first)
+            bits = self._words(start + first, n)
+            bits >>= np.uint64(11)
+            radius = bits.astype(np.float64)
+            radius += 1.0
+            radius *= _TO_UNIT  # (0, 1]: log never sees zero
+            np.log(radius, out=radius)
+            radius *= -2.0
+            np.sqrt(radius, out=radius)
+            bits = self._words(start + pairs + first, n)
+            bits >>= np.uint64(11)
+            angle = bits.astype(np.float64)
+            angle *= _TO_UNIT * (2.0 * math.pi)
+            cos_part = out[first:first + n]
+            sin_part = out[pairs + first:pairs + first + n]
+            np.cos(angle, out=cos_part)
+            np.sin(angle, out=sin_part)
+            cos_part *= radius
+            sin_part *= radius
         return out[:count]
+
+
+@functools.cache
+def _openblas_thread_functions():
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None.
+
+    numpy's wheels ship OpenBLAS in ``numpy.libs`` beside the package;
+    loading that file again returns the handle numpy already holds.
+    """
+    site = Path(np.__file__).resolve().parent.parent
+    for path in sorted(glob.glob(str(site / "numpy.libs" / "*openblas*"))):
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            getter = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            setter = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if getter is not None and setter is not None:
+                getter.argtypes = []
+                getter.restype = ctypes.c_int
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                return getter, setter
+    return None
+
+
+@contextmanager
+def one_blas_thread():
+    """Hold numpy's bundled OpenBLAS to one thread inside the block.
+
+    Yields True when the count was set (it is restored on exit) and False
+    when no OpenBLAS thread setter was found, in which case nothing changes.
+    """
+    functions = _openblas_thread_functions()
+    if functions is None:
+        yield False
+        return
+    getter, setter = functions
+    previous = getter()
+    setter(1)
+    try:
+        yield True
+    finally:
+        setter(previous)
 
 
 def min_norm_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:

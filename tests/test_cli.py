@@ -9,6 +9,7 @@ from reprogram_lab.cli import main, parse_config
 from reprogram_lab.errors import ConfigError
 from reprogram_lab.numerics import SeededRng
 from reprogram_lab.reprogram import ProgramImage, image_from_text, image_to_text
+from reprogram_lab.verify import available_cpus
 
 
 def run_cli(args):
@@ -66,6 +67,8 @@ class TestParseConfig:
         values = parse_config("verify-theorem1", [])
         assert values["rho"] == pytest.approx(4096**0.3)
         assert values["tau"] == pytest.approx(4096**-0.2)
+        assert values["workers"] == available_cpus()
+        assert parse_config("sweep-corollary1", [])["workers"] == available_cpus()
 
     def test_d_list_parsing(self):
         values = parse_config("sweep-corollary1", ["--d_list", "16,32,64"])
@@ -116,6 +119,8 @@ class TestExitCodes:
         ("verify-appendix-a", "partition_trials"),
         ("verify-appendix-a", "sv_trials"),
         ("verify-proposition", "trials"),
+        ("verify-theorem1", "workers"),
+        ("sweep-corollary1", "workers"),
     ])
     def test_zero_evidence_is_a_config_error(self, tmp_path, capsys, command, key):
         # a suite with no runs or no trials must neither pass nor crash

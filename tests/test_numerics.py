@@ -5,13 +5,42 @@ import math
 import numpy as np
 import pytest
 
+from reprogram_lab import numerics
 from reprogram_lab.errors import GramNotPositiveDefinite
 from reprogram_lab.numerics import (
     LINSOLVE_TOL,
     SeededRng,
     min_norm_solve,
+    one_blas_thread,
     singular_extremes,
 )
+
+
+def one_shot_gaussian(rng: SeededRng, count: int) -> np.ndarray:
+    """Box-Muller over the whole draw at once: the reference for the blocked one."""
+    if count == 0:
+        return np.empty(0)
+    pairs = (count + 1) // 2
+    bits = rng.uniform64(2 * pairs)
+    bits >>= np.uint64(11)
+    flt = bits.astype(np.float64)
+    u1 = flt[:pairs]
+    u1 += 1.0
+    u1 *= 2.0**-53
+    angle = flt[pairs:]
+    angle *= 2.0**-53 * (2.0 * math.pi)
+    np.log(u1, out=u1)
+    u1 *= -2.0
+    radius = np.sqrt(u1, out=u1)
+    out = np.empty(2 * pairs)
+    np.cos(angle, out=out[:pairs])
+    np.sin(angle, out=out[pairs:])
+    out[:pairs] *= radius
+    out[pairs:] *= radius
+    return out[:count]
+
+
+_B = numerics._GAUSSIAN_BLOCK
 
 
 class TestSeededRng:
@@ -49,10 +78,49 @@ class TestSeededRng:
         assert abs(g.mean()) < 3.0 / math.sqrt(200_000)
         assert abs(g.var() - 1.0) < 3.0 * math.sqrt(2.0 / 200_000)
 
+    @pytest.mark.parametrize("count", [
+        0, 1, 2, 3, 2 * _B - 1, 2 * _B, 2 * _B + 1, 4 * _B + 3,
+        41 * 256, 102 * 1024, 4096 * 256, 4096 * 256 + 1,
+    ])
+    def test_blocked_gaussian_matches_one_shot_reference(self, count):
+        blocked, reference = SeededRng(97531, 11), SeededRng(97531, 11)
+        assert blocked.gaussian(count).tobytes() == one_shot_gaussian(reference, count).tobytes()
+        assert blocked._counter == reference._counter
+        assert np.array_equal(blocked.signs(5), reference.signs(5))
+
+    @pytest.mark.parametrize("count", [-1, -3])
+    def test_negative_gaussian_count_rejected_without_drawing(self, count):
+        rng = SeededRng(97531, 11)
+        with pytest.raises(ValueError, match="nonnegative"):
+            rng.gaussian(count)
+        assert rng._counter == 0
+
     def test_signs_support_and_balance(self):
         s = SeededRng(5, 3).signs(100_000)
         assert set(np.unique(s)) == {-1.0, 1.0}
         assert abs(s.mean()) < 3.0 / math.sqrt(100_000)
+
+
+class TestOneBlasThread:
+    def test_restores_previous_thread_count(self):
+        functions = numerics._openblas_thread_functions()
+        if functions is None:
+            pytest.skip("numpy's BLAS exposes no OpenBLAS thread setter")
+        getter, setter = functions
+        before = getter()
+        try:
+            setter(2)
+            with one_blas_thread() as pinned:
+                assert pinned
+                assert getter() == 1
+            assert getter() == 2
+        finally:
+            setter(before)
+
+    def test_without_setter_changes_nothing(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_openblas_thread_functions", lambda: None)
+        with one_blas_thread() as pinned:
+            assert not pinned
 
 
 class TestMinNormSolve:

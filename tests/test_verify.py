@@ -2,10 +2,15 @@
 determinism, and small-scale passes of every suite."""
 
 import math
+import os
+import signal
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from reprogram_lab import numerics, verify
 from reprogram_lab.errors import ExponentConditionViolated, HypothesisViolated
 from reprogram_lab.gradient_flow import balanced_live_init
 from reprogram_lab.numerics import SeededRng
@@ -37,6 +42,10 @@ from reprogram_lab.verify import _log_loss, _rescaled_chunk
 SMALL_T1 = Theorem1Config(
     d=256, k=41, rho=256**0.3, tau=256**-0.2,
     gamma=0.01, gamma_dag=0.01, trials=150, seed=301,
+)
+WORKERS_T1 = Theorem1Config(
+    d=64, k=16, rho=64**0.3, tau=64**-0.2,
+    gamma=0.01, gamma_dag=0.01, trials=120, seed=77,
 )
 
 
@@ -113,14 +122,56 @@ class TestTheorem1Montecarlo:
         b = verdict_to_text(theorem1_montecarlo(SMALL_T1))
         assert strip_runtime(a) == strip_runtime(b)
 
-    def test_worker_count_does_not_change_results(self):
-        cfg = Theorem1Config(
-            d=64, k=16, rho=64**0.3, tau=64**-0.2,
-            gamma=0.01, gamma_dag=0.01, trials=120, seed=77,
-        )
-        serial = verdict_to_text(theorem1_montecarlo(cfg, workers=1))
-        parallel = verdict_to_text(theorem1_montecarlo(cfg, workers=2))
+    @pytest.mark.parametrize("workers", [1, 2, 3, None])
+    def test_worker_count_does_not_change_results(self, workers):
+        serial = verdict_to_text(theorem1_montecarlo(WORKERS_T1, workers=1))
+        parallel = verdict_to_text(theorem1_montecarlo(WORKERS_T1, workers=workers))
         assert strip_runtime(serial) == strip_runtime(parallel)
+
+    def test_threads_are_kept_across_calls(self):
+        theorem1_montecarlo(WORKERS_T1, workers=2)
+        first = {t.ident for t in threading.enumerate() if t.name.startswith("trial-block")}
+        theorem1_montecarlo(WORKERS_T1, workers=2)
+        again = {t.ident for t in threading.enumerate() if t.name.startswith("trial-block")}
+        assert first and again == first
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_runs_blocks_on_its_own_threads(self):
+        theorem1_montecarlo(WORKERS_T1, workers=2)  # the parent's pool exists
+        pid = os.fork()
+        if pid == 0:
+            try:
+                verdict = theorem1_montecarlo(WORKERS_T1, workers=2)
+                os._exit(0 if verdict.measured["trials"] == 120 else 1)
+            finally:
+                os._exit(2)
+        deadline = time.monotonic() + 30.0
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child did not finish its trial blocks")
+            time.sleep(0.05)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_without_blas_setter_blocks_run_serially_in_order(self, monkeypatch):
+        expected = verdict_to_text(theorem1_montecarlo(WORKERS_T1, workers=2))
+        calls = []
+
+        def recording_block(args):
+            calls.append((args[1], threading.get_ident()))
+            return original_block(args)
+
+        original_block = verify._theorem1_block
+        monkeypatch.setattr(numerics, "_openblas_thread_functions", lambda: None)
+        monkeypatch.setattr(verify, "_theorem1_block", recording_block)
+        got = verdict_to_text(theorem1_montecarlo(WORKERS_T1, workers=2))
+        assert strip_runtime(got) == strip_runtime(expected)
+        assert [start for start, _ in calls] == list(range(0, 120, verify._TRIAL_BLOCK))
+        assert {ident for _, ident in calls} == {threading.get_ident()}
 
     def test_vacuous_floor_flagged_and_passes(self):
         cfg = Theorem1Config(
@@ -187,6 +238,16 @@ class TestCorollary1:
     def test_width_clamped_to_dimension(self):
         k, _, _, _ = corollary1_parameters(3, 1.0, 0.0, 0.3)
         assert k == 3
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, None])
+    def test_worker_count_does_not_change_results(self, workers):
+        def sweep(workers):
+            verdict, rows = corollary1_sweep(
+                2.0 / 3.0, 0.3, 0.2, (64, 128), trials=60, seed=77, workers=workers
+            )
+            return strip_runtime(verdict_to_text(verdict)), rows
+
+        assert sweep(workers) == sweep(1)
 
     def test_small_sweep_passes(self):
         verdict, rows = corollary1_sweep(
