@@ -284,8 +284,11 @@ def theorem1_montecarlo(cfg: Theorem1Config, workers: int | None = None) -> Suit
     if the violation fraction stays within the claimed allowance plus
     three binomial standard errors.  When the claimed probability floor
     (1 - C1 gamma)(1 - gamma_dag) is not positive the suite is vacuous:
-    it passes and is flagged as such.  ``workers`` threads run the trial
-    blocks, by default one per available CPU.
+    it passes and is flagged as such.  ``rhs_positive`` reports whether
+    the threshold itself is above zero; when it is not, a pass only says
+    the outputs clear a negative number.  It is not part of the verdict.
+    ``workers`` threads run the trial blocks, by default one per
+    available CPU.
     """
     if cfg.trials < 1:
         raise ValueError("trials must be at least 1")
@@ -321,6 +324,7 @@ def theorem1_montecarlo(cfg: Theorem1Config, workers: int | None = None) -> Suit
             "construction_errors": errors,
             "accuracy": successes / cfg.trials,
             "rhs_value": rhs,
+            "rhs_positive": rhs > 0.0,
             "probability_floor": floor,
             "vacuous": vacuous,
         },
@@ -547,7 +551,7 @@ def train_to_directional_limit(
     margin_ref: float = 80.0,
     direction_tol: float = 1e-9,
     s_budget: float = 2000.0,
-) -> tuple[WeightVector, int, float, float]:
+) -> tuple[WeightVector, int, float, float, int]:
     """Drive training to the directional limit of the flow.
 
     Phase one runs chunks of plain fixed-step Euler descent, with the
@@ -557,13 +561,22 @@ def train_to_directional_limit(
     flow dtheta/ds = -grad L / loss-scale in a margin-shifted form that
     never underflows, rescaling the weights (2-homogeneity keeps the
     predictor's sign and the flow's directional limit) whenever margins
-    pass 2 * margin_ref; it stops once the weight direction moves less
-    than ``direction_tol`` per chunk, or the rescaled-time or step
-    budgets run out.
+    pass 2 * margin_ref.  Phase two stops once the loss is at target and
+    the unit weight direction at the end of a chunk lies within
+    ``direction_tol`` of the direction at the end of any earlier chunk:
+    the direction has either stopped moving (period 1) or come back to
+    one it held p chunks before.  The fixed-step flow can settle onto a
+    few directions and move among them for good (at some seeds a strict
+    cycle of p chunks), so a return is as far as further chunks get.
+    Otherwise it stops when the rescaled-time or step budget runs out,
+    or the damping floor is reached.
 
-    Returns (theta, steps_used, final_log_loss, log_norm_growth) where
-    the last entry is ln(norm(theta_final)/norm(theta0)) accounting for
-    every intermediate rescale.
+    Returns (theta, steps_used, final_log_loss, log_norm_growth,
+    direction_period).  log_norm_growth is
+    ln(norm(theta_final)/norm(theta0)) accounting for every intermediate
+    rescale; direction_period is the number of chunks back to the
+    direction that matched, or 0 when a budget or the damping floor
+    ended the loop.
     """
     xs, ys = dataset.points, dataset.labels
     max_x2 = float(np.max(np.sum(xs * xs, axis=1)))
@@ -603,7 +616,8 @@ def train_to_directional_limit(
     rescale_log = 0.0
     s_used = 0.0
     log_loss = _log_loss(w, a, xs, ys, kind)
-    previous_direction = None
+    visited = np.empty((0, w.size + a.size))  # chunk-end unit directions, in order
+    period = 0
     while used < budget_steps and s_used < s_budget:
         min_margin = -(log_loss - math.log(len(ys)))
         if min_margin > 2.0 * margin_ref:
@@ -629,17 +643,16 @@ def train_to_directional_limit(
         damping = min(0.5, damping * 1.5)
         direction = np.concatenate([w.ravel(), a])
         direction /= np.linalg.norm(direction)
-        if (
-            previous_direction is not None
-            and log_loss <= math.log(target_loss)
-            and float(np.linalg.norm(direction - previous_direction)) < direction_tol
-        ):
-            break
-        previous_direction = direction
+        if log_loss <= math.log(target_loss):
+            close = np.flatnonzero(np.linalg.norm(visited - direction, axis=1) < direction_tol)
+            if close.size:
+                period = len(visited) - int(close[-1])
+                break
+        visited = np.vstack([visited, direction])
 
     final = WeightVector(w, a)
     log_growth = math.log(final.norm()) + rescale_log - start_log_norm
-    return final, used, log_loss, log_growth
+    return final, used, log_loss, log_growth, period
 
 
 def corollary2_suite(
@@ -658,7 +671,10 @@ def corollary2_suite(
     """Directional-convergence suite on a fixed dataset.
 
     Trains to the flow's directional limit (loss at or below
-    ``target_loss`` and a stalled weight direction), computes the
+    ``target_loss`` and a weight direction that has stopped moving or
+    come back to one it held at an earlier chunk end; the period found is
+    reported as ``direction_period``, 0 when a budget or the damping
+    floor ended training, and is not part of the verdict), computes the
     per-class max-margin vectors, and checks: every surviving neuron's
     cosine to its target is at least ``min_cosine``; the worst balance
     residual is at most ``balance_fraction`` times the weight norm; the
@@ -671,7 +687,7 @@ def corollary2_suite(
     started = time.perf_counter()
     data = dataset if dataset is not None else four_point_dataset()
     theta0 = balanced_live_init(data, k, init_scale, SeededRng(seed, _BASE_COROLLARY2))
-    theta, steps_used, log_loss, log_growth = train_to_directional_limit(
+    theta, steps_used, log_loss, log_growth, period = train_to_directional_limit(
         theta0, data, loss_kind, target_loss, budget_steps
     )
     inconclusive = log_loss > math.log(target_loss)
@@ -690,6 +706,7 @@ def corollary2_suite(
     measured = {
         "inconclusive": inconclusive,
         "steps_used": steps_used,
+        "direction_period": period,
         "log10_final_loss": log_loss / math.log(10.0),
         "surviving_neurons": int(report.surviving.size),
         "min_cosine": report.min_cosine,
@@ -761,7 +778,7 @@ def proposition_suite(
     started = time.perf_counter()
     data = generate_orthosep(d, n_pos, n_neg, SeededRng(seed, _BASE_PROPOSITION))
     theta0 = balanced_live_init(data, k, init_scale, SeededRng(seed, _BASE_PROPOSITION + 1))
-    theta, steps_used, log_loss, _ = train_to_directional_limit(
+    theta, steps_used, log_loss, _, _ = train_to_directional_limit(
         theta0, data, loss_kind, target_loss, budget_steps, s_budget=s_budget
     )
     net = theta.to_network()

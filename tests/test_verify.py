@@ -173,6 +173,20 @@ class TestTheorem1Montecarlo:
         assert [start for start, _ in calls] == list(range(0, 120, verify._TRIAL_BLOCK))
         assert {ident for _, ident in calls} == {threading.get_ident()}
 
+    @pytest.mark.parametrize("d, k, rho, tau, gamma, gamma_dag, positive", [
+        (4096, 256, 4096**0.3, 4096**-0.2, 0.01, 0.01, False),  # the CLI default, rhs -1.87
+        (256, 128, 1.0, 0.5, 0.99, 0.99, True),
+    ])
+    def test_rhs_positive_flag(self, d, k, rho, tau, gamma, gamma_dag, positive):
+        cfg = Theorem1Config(
+            d=d, k=k, rho=rho, tau=tau, gamma=gamma, gamma_dag=gamma_dag, trials=2, seed=5,
+        )
+        verdict = theorem1_montecarlo(cfg)
+        assert verdict.measured["rhs_positive"] is positive
+        assert (verdict.measured["rhs_value"] > 0.0) is positive
+        if not positive:
+            assert verdict.measured["rhs_value"] == pytest.approx(-1.87, abs=0.005)
+
     def test_vacuous_floor_flagged_and_passes(self):
         cfg = Theorem1Config(
             d=64, k=16, rho=2.0, tau=0.4, gamma=0.45, gamma_dag=0.01,
@@ -293,6 +307,24 @@ class TestCorollary2Suite:
         verdict = corollary2_suite(seed=11, budget_steps=10)
         assert not verdict.passed
         assert verdict.measured["inconclusive"]
+        assert verdict.measured["direction_period"] == 0
+
+    @pytest.mark.parametrize("seed, period", [(97531, 2), (30, 2), (71, 3)])
+    def test_cycling_direction_stops_training(self, seed, period):
+        # The chunk-end direction here cycles with period 2, 2 and 3 and
+        # never stops moving; a stop that compares each chunk only with
+        # the one before it runs until the rescaled-time budget is spent.
+        verdict = corollary2_suite(seed=seed)
+        assert verdict.passed
+        assert verdict.measured["steps_used"] <= 20_000
+        assert verdict.measured["direction_period"] == period
+
+    @pytest.mark.parametrize("seed, steps", [(11, 7002), (12, 10008), (15, 11004), (17, 8002)])
+    def test_still_direction_stops_where_it_did(self, seed, steps):
+        verdict = corollary2_suite(seed=seed)
+        assert verdict.passed
+        assert verdict.measured["steps_used"] == steps
+        assert verdict.measured["direction_period"] == 1
 
     def test_deterministic_replay(self):
         a = verdict_to_text(corollary2_suite(seed=12))
