@@ -33,7 +33,6 @@ from .reprogram import (
     scheme2_combine,
 )
 from .verify import (
-    SuiteVerdict,
     Theorem1Config,
     appendix_a_suite,
     available_cpus,
@@ -78,8 +77,116 @@ _COMMON = {
     "output_dir": ("str", "runs"),
 }
 
-_SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
-    "verify-theorem1": {
+
+def _suite_args(values: dict) -> dict:
+    """The resolved values as the keyword arguments of a suite whose
+    parameters are named like its keys."""
+    return {key: value for key, value in values.items() if key != "output_dir"}
+
+
+def _vector_text(vector: np.ndarray) -> str:
+    head = f"{vector.size}\n"
+    return head + " ".join(format(v, ".17g") for v in vector) + "\n"
+
+
+# A runner takes the resolved values and write(name, text), which writes
+# a file behind the configuration echo.  A suite's runner returns its
+# verdict; any other runner returns None.  Runners look suites up at call
+# time, so a rebound suite is the one that runs.
+
+
+def _theorem1(values: dict, write):
+    args = _suite_args(values)
+    workers = args.pop("workers")
+    return theorem1_montecarlo(Theorem1Config(**args), workers=workers)
+
+
+def _corollary1(values: dict, write):
+    verdict, rows = corollary1_sweep(**_suite_args(values))
+    csv_lines = ["d,k,rho,tau,tau_clamped,accuracy,stderr"]
+    for row in rows:
+        csv_lines.append(
+            f"{row['d']},{row['k']},{row['rho']:.17g},{row['tau']:.17g},"
+            f"{str(row['tau_clamped']).lower()},{row['accuracy']:.17g},{row['stderr']:.17g}"
+        )
+    write("corollary1_sweep.csv", "\n".join(csv_lines) + "\n")
+    return verdict
+
+
+def _theorem2(values: dict, write):
+    return theorem2_suite(
+        values["datasets"], values["d"], values["k"], values["n_pos"],
+        values["n_neg"], values["step_size"], values["max_steps"], values["seed"],
+    )
+
+
+def _construct_program(values: dict, write) -> None:
+    rng = SeededRng(values["seed"], 0)
+    net = random_init(values["d"], values["k"], rng)
+    phi = random_hypercube_direction(values["d"], rng)
+    program = construct_program(net, phi)
+    write("network.txt", network_to_text(net))
+    write("program.txt", _vector_text(program.offset))
+    write("diagnostics.txt", (
+        f"helpful = {program.helpful.size}\n"
+        f"unhelpful = {program.unhelpful.size}\n"
+        f"offset_norm = {program.offset_norm:.17g}\n"
+        f"target_bias_norm = {program.target_bias_norm:.17g}\n"
+    ))
+
+
+def _optimize_program(values: dict, write) -> None:
+    rng = SeededRng(values["seed"], 0)
+    net = random_init(values["d"], values["k"], rng)
+    phi = random_hypercube_direction(values["d"], rng)
+    model = BernoulliModel(direction=phi, radius=values["rho"], bias=values["tau"])
+    offset, losses = optimize_program(
+        net, model, values["m"], values["steps"], values["lr"], values["batch"], rng,
+    )
+    write("program.txt", _vector_text(offset))
+    write("loss_curve.csv", "step,loss\n" + "\n".join(
+        f"{i},{v:.17g}" for i, v in enumerate(losses)
+    ) + "\n")
+
+
+def _train_flow(values: dict, write) -> None:
+    seed = values["seed"]
+    dataset = generate_orthosep(values["d"], values["n_pos"], values["n_neg"], SeededRng(seed, 0))
+    theta0 = balanced_live_init(dataset, values["k"], values["init_scale"], SeededRng(seed, 1))
+    cfg = TrainerConfig(
+        loss_kind=values["loss_kind"], step_size=values["step_size"],
+        max_steps=values["max_steps"], stop_loss=values["stop_loss"],
+        record_every=values["record_every"],
+    )
+    report = train(theta0, dataset, cfg)
+    write("trajectory.csv", trajectory_to_csv(report))
+    write("final_weights.txt", network_to_text(report.final_theta.to_network()))
+    crossed = report.crossed_margin_loss_at
+    write("summary.txt", (
+        f"steps_run = {report.steps_run}\n"
+        f"final_loss = {report.final_loss:.17g}\n"
+        f"crossed_margin_loss_at = {'none' if crossed is None else crossed}\n"
+        f"sign_flip_detected = {str(report.sign_flip_detected).lower()}\n"
+    ))
+
+
+def _combine_image(values: dict, write) -> None:
+    program = _read_image(values["program_file"])
+    image = _read_image(values["image_file"])
+    if values["scheme"] == 1:
+        combined = scheme1_combine(program, image, values["amount"])
+    elif values["scheme"] == 2:
+        combined = scheme2_combine(program, image, values["amount"])
+    else:
+        raise ConfigError("key 'scheme': must be 1 or 2")
+    write("combined.txt", image_to_text(combined))
+    if values["write_ppm"]:
+        (Path(values["output_dir"]) / "combined.ppm").write_bytes(image_to_ppm(combined))
+
+
+# command -> (schema, runner)
+_COMMANDS = {
+    "verify-theorem1": ({
         **_COMMON,
         "d": ("int", 4096),
         "k": ("int", 256),
@@ -89,8 +196,8 @@ _SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
         "gamma_dag": ("float", 0.01),
         "trials": ("int", 2000),
         "workers": ("int", None),  # defaults to the available CPUs
-    },
-    "sweep-corollary1": {
+    }, _theorem1),
+    "sweep-corollary1": ({
         **_COMMON,
         "eta_k": ("float", 2.0 / 3.0),
         "eta_rho": ("float", 0.3),
@@ -98,8 +205,8 @@ _SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
         "d_list": ("int_list", (256, 1024, 4096)),
         "trials": ("int", 2000),
         "workers": ("int", None),  # defaults to the available CPUs
-    },
-    "verify-theorem2": {
+    }, _corollary1),
+    "verify-theorem2": ({
         **_COMMON,
         "datasets": ("int", 50),
         "d": ("int", 2),
@@ -108,16 +215,16 @@ _SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
         "n_neg": ("int", 2),
         "step_size": ("float", 1e-3),
         "max_steps": ("int", 1_000_000),
-    },
-    "verify-corollary2": {
+    }, _theorem2),
+    "verify-corollary2": ({
         **_COMMON,
         "k": ("int", 8),
         "init_scale": ("float", 0.1),
         "loss_kind": ("str", "exponential"),
         "target_loss": ("float", 1e-6),
         "budget_steps": ("int", 10_000_000),
-    },
-    "verify-proposition": {
+    }, lambda values, write: corollary2_suite(**_suite_args(values))),
+    "verify-proposition": ({
         **_COMMON,
         "d": ("int", 64),
         "tau": ("float", 0.2),
@@ -130,8 +237,8 @@ _SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
         "opt_steps": ("int", 400),
         "opt_lr": ("float", 0.01),
         "opt_batch": ("int", 128),
-    },
-    "verify-appendix-a": {
+    }, lambda values, write: proposition_suite(**_suite_args(values))),
+    "verify-appendix-a": ({
         **_COMMON,
         "partition_d": ("int", 64),
         "partition_trials": ("int", 10_000),
@@ -139,13 +246,13 @@ _SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
         "sv_k": ("int", 32),
         "sv_gamma": ("float", 0.01),
         "sv_trials": ("int", 1000),
-    },
-    "construct-program": {
+    }, lambda values, write: appendix_a_suite(**_suite_args(values))),
+    "construct-program": ({
         **_COMMON,
         "d": ("int", 256),
         "k": ("int", 32),
-    },
-    "optimize-program": {
+    }, _construct_program),
+    "optimize-program": ({
         **_COMMON,
         "d": ("int", 64),
         "k": ("int", 8),
@@ -155,8 +262,8 @@ _SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
         "steps": ("int", 300),
         "lr": ("float", 0.01),
         "batch": ("int", 64),
-    },
-    "train-flow": {
+    }, _optimize_program),
+    "train-flow": ({
         **_COMMON,
         "d": ("int", 2),
         "n_pos": ("int", 2),
@@ -168,26 +275,26 @@ _SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
         "max_steps": ("int", 100_000),
         "stop_loss": ("float", 0.0),
         "record_every": ("int", 100),
-    },
-    "combine-image": {
+    }, _train_flow),
+    "combine-image": ({
         **_COMMON,
         "scheme": ("int", 2),
         "amount": ("float", _REQUIRED),
         "program_file": ("str", _REQUIRED),
         "image_file": ("str", _REQUIRED),
         "write_ppm": ("bool", False),
-    },
+    }, _combine_image),
 }
 
 
 def parse_config(command: str, argv: list[str]) -> dict:
     """Resolve a command's configuration from defaults, the environment
     seed fallback, an optional --config file, and --key value overrides."""
-    if command not in _SCHEMAS:
+    if command not in _COMMANDS:
         raise ConfigError(
-            f"unknown command {command!r}; valid commands: {', '.join(sorted(_SCHEMAS))}"
+            f"unknown command {command!r}; valid commands: {', '.join(sorted(_COMMANDS))}"
         )
-    schema = _SCHEMAS[command]
+    schema = _COMMANDS[command][0]
     values: dict[str, object] = {}
 
     pairs: list[tuple[str, str]] = []
@@ -258,153 +365,21 @@ def _echo_lines(command: str, values: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write(output_dir: Path, name: str, echo: str, body: str) -> Path:
-    output_dir.mkdir(parents=True, exist_ok=True)
-    path = output_dir / name
-    path.write_text(echo + body)
-    return path
-
-
-def _vector_text(vector: np.ndarray) -> str:
-    head = f"{vector.size}\n"
-    return head + " ".join(format(v, ".17g") for v in vector) + "\n"
-
-
 def run(command: str, values: dict) -> int:
     """Execute a resolved command; returns the process exit status."""
     out_dir = Path(values["output_dir"])
     echo = _echo_lines(command, values)
-    seed = values["seed"]
 
-    def finish_suite(verdict: SuiteVerdict) -> int:
-        _write(out_dir, f"{command}.verdict.txt", echo, verdict_to_text(verdict))
-        print(f"{verdict.name}: {'PASS' if verdict.passed else 'FAIL'}")
-        return 0 if verdict.passed else 1
+    def write(name: str, body: str) -> None:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / name).write_text(echo + body)
 
-    if command == "verify-theorem1":
-        cfg = Theorem1Config(
-            d=values["d"], k=values["k"], rho=values["rho"], tau=values["tau"],
-            gamma=values["gamma"], gamma_dag=values["gamma_dag"],
-            trials=values["trials"], seed=seed,
-        )
-        return finish_suite(theorem1_montecarlo(cfg, workers=values["workers"]))
-
-    if command == "sweep-corollary1":
-        verdict, rows = corollary1_sweep(
-            values["eta_k"], values["eta_rho"], values["eta_tau"],
-            values["d_list"], values["trials"], seed, workers=values["workers"],
-        )
-        csv_lines = ["d,k,rho,tau,tau_clamped,accuracy,stderr"]
-        for row in rows:
-            csv_lines.append(
-                f"{row['d']},{row['k']},{row['rho']:.17g},{row['tau']:.17g},"
-                f"{str(row['tau_clamped']).lower()},{row['accuracy']:.17g},{row['stderr']:.17g}"
-            )
-        _write(out_dir, "corollary1_sweep.csv", echo, "\n".join(csv_lines) + "\n")
-        return finish_suite(verdict)
-
-    if command == "verify-theorem2":
-        return finish_suite(theorem2_suite(
-            values["datasets"], values["d"], values["k"], values["n_pos"],
-            values["n_neg"], values["step_size"], values["max_steps"], seed,
-        ))
-
-    if command == "verify-corollary2":
-        return finish_suite(corollary2_suite(
-            seed, k=values["k"], init_scale=values["init_scale"],
-            loss_kind=values["loss_kind"], target_loss=values["target_loss"],
-            budget_steps=values["budget_steps"],
-        ))
-
-    if command == "verify-proposition":
-        return finish_suite(proposition_suite(
-            seed, d=values["d"], tau=values["tau"], trials=values["trials"],
-            k=values["k"], n_pos=values["n_pos"], n_neg=values["n_neg"],
-            loss_kind=values["loss_kind"], target_loss=values["target_loss"],
-            opt_steps=values["opt_steps"], opt_lr=values["opt_lr"],
-            opt_batch=values["opt_batch"],
-        ))
-
-    if command == "verify-appendix-a":
-        return finish_suite(appendix_a_suite(
-            seed, partition_d=values["partition_d"],
-            partition_trials=values["partition_trials"], sv_d=values["sv_d"],
-            sv_k=values["sv_k"], sv_gamma=values["sv_gamma"],
-            sv_trials=values["sv_trials"],
-        ))
-
-    if command == "construct-program":
-        rng = SeededRng(seed, 0)
-        net = random_init(values["d"], values["k"], rng)
-        phi = random_hypercube_direction(values["d"], rng)
-        program = construct_program(net, phi)
-        _write(out_dir, "network.txt", echo, network_to_text(net))
-        _write(out_dir, "program.txt", echo, _vector_text(program.offset))
-        body = (
-            f"helpful = {program.helpful.size}\n"
-            f"unhelpful = {program.unhelpful.size}\n"
-            f"offset_norm = {program.offset_norm:.17g}\n"
-            f"target_bias_norm = {program.target_bias_norm:.17g}\n"
-        )
-        _write(out_dir, "diagnostics.txt", echo, body)
+    verdict = _COMMANDS[command][1](values, write)
+    if verdict is None:
         return 0
-
-    if command == "optimize-program":
-        rng = SeededRng(seed, 0)
-        net = random_init(values["d"], values["k"], rng)
-        phi = random_hypercube_direction(values["d"], rng)
-        model = BernoulliModel(direction=phi, radius=values["rho"], bias=values["tau"])
-        offset, losses = optimize_program(
-            net, model, values["m"], values["steps"], values["lr"],
-            values["batch"], rng,
-        )
-        _write(out_dir, "program.txt", echo, _vector_text(offset))
-        csv = "step,loss\n" + "\n".join(
-            f"{i},{v:.17g}" for i, v in enumerate(losses)
-        ) + "\n"
-        _write(out_dir, "loss_curve.csv", echo, csv)
-        return 0
-
-    if command == "train-flow":
-        data_rng = SeededRng(seed, 0)
-        dataset = generate_orthosep(values["d"], values["n_pos"], values["n_neg"], data_rng)
-        theta0 = balanced_live_init(dataset, values["k"], values["init_scale"],
-                                    SeededRng(seed, 1))
-        cfg = TrainerConfig(
-            loss_kind=values["loss_kind"], step_size=values["step_size"],
-            max_steps=values["max_steps"], stop_loss=values["stop_loss"],
-            record_every=values["record_every"],
-        )
-        report = train(theta0, dataset, cfg)
-        _write(out_dir, "trajectory.csv", echo, trajectory_to_csv(report))
-        _write(out_dir, "final_weights.txt", echo,
-               network_to_text(report.final_theta.to_network()))
-        crossed = report.crossed_margin_loss_at
-        body = (
-            f"steps_run = {report.steps_run}\n"
-            f"final_loss = {report.final_loss:.17g}\n"
-            f"crossed_margin_loss_at = {'none' if crossed is None else crossed}\n"
-            f"sign_flip_detected = {str(report.sign_flip_detected).lower()}\n"
-        )
-        _write(out_dir, "summary.txt", echo, body)
-        return 0
-
-    if command == "combine-image":
-        program = _read_image(values["program_file"])
-        image = _read_image(values["image_file"])
-        if values["scheme"] == 1:
-            combined = scheme1_combine(program, image, values["amount"])
-        elif values["scheme"] == 2:
-            combined = scheme2_combine(program, image, values["amount"])
-        else:
-            raise ConfigError("key 'scheme': must be 1 or 2")
-        _write(out_dir, "combined.txt", echo, image_to_text(combined))
-        if values["write_ppm"]:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            (out_dir / "combined.ppm").write_bytes(image_to_ppm(combined))
-        return 0
-
-    raise ConfigError(f"unknown command {command!r}")
+    write(f"{command}.verdict.txt", verdict_to_text(verdict))
+    print(f"{verdict.name}: {'PASS' if verdict.passed else 'FAIL'}")
+    return 0 if verdict.passed else 1
 
 
 def _read_image(path_text: str):
@@ -420,7 +395,7 @@ def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if not args or args[0] in ("-h", "--help"):
         print(__doc__.strip())
-        print("\ncommands:", ", ".join(sorted(_SCHEMAS)))
+        print("\ncommands:", ", ".join(sorted(_COMMANDS)))
         return 0 if args else 2
     command, rest = args[0], args[1:]
     try:

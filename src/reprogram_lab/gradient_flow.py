@@ -6,7 +6,9 @@ step: theta <- theta - step_size * g, where g selects 0 from the ReLU
 subdifferential at kinks.  A run records the loss curve, per-neuron
 balance residuals, output-sign flips, and the first step at which the
 total loss drops below the single-sample loss at margin zero (the point
-past which every training input is classified correctly).
+past which every training input is classified correctly).  Two trainers
+build on that step: one trains many runs to their first loss crossing as
+a stacked batch, and one follows the flow to its directional limit.
 """
 
 from __future__ import annotations
@@ -18,12 +20,24 @@ import numpy as np
 
 from .data_models import LabeledDataset
 from .errors import LivenessExhausted, NonFiniteLoss
-from .network import TwoLayerNet
+from .network import TwoLayerNet, backward_pass, forward_pass
 from .numerics import SeededRng
 
 LOSS_KINDS = ("exponential", "logistic")
 
 _INIT_RETRIES = 1000
+
+# The directional-limit trainer runs DIRECTIONAL_CHUNK steps between
+# checks, rescales the weights once the smallest margin passes
+# 2 * MARGIN_REF, and counts two chunk-end unit weight directions as the
+# same direction when they are closer than DIRECTION_TOL.
+DIRECTIONAL_CHUNK = 1000
+MARGIN_REF = 80.0
+DIRECTION_TOL = 1e-9
+
+# A neuron survives training when its row norm exceeds this fraction of
+# the largest row norm.
+SURVIVAL_FRACTION = 1e-6
 
 
 @dataclass
@@ -132,33 +146,6 @@ def margin_zero_loss(kind: str) -> float:
     raise ValueError(f"loss kind must be one of {LOSS_KINDS}")
 
 
-# The forward and backward pass of the net, written once for every trainer.
-# Arrays may carry leading batch axes: xs (..., n, d), ys (..., n),
-# w (..., k, d), a (..., k); a 2-D call is the batch-free case.  Each
-# stacked matmul runs the same BLAS call per batch entry as the 2-D call,
-# so a run gives the same bits alone and inside a batch.
-
-
-def _forward(xs, ys, w, a):
-    """Active mask (..., n, k), hidden outputs (..., n, k) and margins (..., n)."""
-    pre = xs @ w.swapaxes(-1, -2)
-    active = pre > 0.0
-    hidden = np.where(active, pre, 0.0)
-    margins = ys * (hidden @ a[..., None])[..., 0]
-    return active, hidden, margins
-
-
-def _gradient(xs, a, active, hidden, coeff):
-    """(grad_w, grad_a) of sum_i l(margin_i), given coeff_i = l'(margin_i) * y_i.
-
-    The ReLU's subgradient at an exact kink is taken as 0.
-    """
-    grad_a = (hidden.swapaxes(-1, -2) @ coeff[..., None])[..., 0]
-    grad_w = (active * coeff[..., None]).swapaxes(-1, -2) @ xs
-    grad_w *= a[..., None]
-    return grad_w, grad_a
-
-
 def balanced_live_init(
     dataset: LabeledDataset, k: int, scale: float, rng: SeededRng
 ) -> WeightVector:
@@ -184,7 +171,7 @@ def balanced_live_init(
             continue
         w *= (scale / norms)[:, None]
         a = scale * rng.signs(k)
-        active = dataset.points @ w.T > 0.0  # (n, k)
+        active = forward_pass(dataset.points, labels, w, a)[0]  # (n, k)
         live = True
         for s in (1.0, -1.0):
             rows = labels == s
@@ -224,7 +211,7 @@ def train(theta0: WeightVector, dataset: LabeledDataset, cfg: TrainerConfig) -> 
 
     step = 0
     while True:
-        active, hidden, margins = _forward(xs, ys, w, a)
+        active, hidden, margins = forward_pass(xs, ys, w, a)
         values, slopes = loss_value_and_derivative(cfg.loss_kind, margins)
         loss = float(np.sum(values))
         if not math.isfinite(loss):
@@ -236,7 +223,7 @@ def train(theta0: WeightVector, dataset: LabeledDataset, cfg: TrainerConfig) -> 
             record(step, loss, margins)
         if done:
             break
-        grad_w, grad_a = _gradient(xs, a, active, hidden, slopes * ys)
+        grad_w, grad_a = backward_pass(xs, a, active, hidden, slopes * ys)
         grad_w *= cfg.step_size
         grad_a *= cfg.step_size
         w -= grad_w
@@ -269,6 +256,8 @@ def train_to_crossing(
     stopped just below the margin-zero loss.  Raises
     :class:`NonFiniteLoss` if any run's loss leaves the finite range.
     """
+    if step_size <= 0.0:
+        raise ValueError("step_size must be positive")
     if not thetas:
         return [], np.empty(0)
     xs = np.stack([data.points for data in datasets])
@@ -281,7 +270,7 @@ def train_to_crossing(
     min_margins = np.empty(len(thetas))
     step = 0
     while True:
-        active, hidden, margins = _forward(xs, ys, w, a)
+        active, hidden, margins = forward_pass(xs, ys, w, a)
         values, slopes = loss_value_and_derivative(kind, margins)
         loss = np.sum(values, axis=-1)
         if not np.all(np.isfinite(loss)):
@@ -297,7 +286,7 @@ def train_to_crossing(
                 break
             runs, xs, ys, w, a = runs[keep], xs[keep], ys[keep], w[keep], a[keep]
             active, hidden, slopes = active[keep], hidden[keep], slopes[keep]
-        grad_w, grad_a = _gradient(xs, a, active, hidden, slopes * ys)
+        grad_w, grad_a = backward_pass(xs, a, active, hidden, slopes * ys)
         grad_w *= step_size
         grad_a *= step_size
         w -= grad_w
@@ -306,12 +295,158 @@ def train_to_crossing(
     return crossed_at, min_margins
 
 
+def _rescaled_chunk(w, a, xs, ys, kind, step, steps):
+    """``steps`` Euler steps of the time-rescaled flow from (w, a), which
+    are not modified.  The per-sample gradient weights -l'(margin) are
+    scaled by exp(min margin), so they stay exact however small the loss
+    gets."""
+    w, a = w.copy(), a.copy()
+    for _ in range(steps):
+        active, hidden, margins = forward_pass(xs, ys, w, a)
+        weights = np.exp(margins.min() - margins)
+        if kind == "logistic":
+            weights /= 1.0 + np.exp(-margins)
+        grad_w, grad_a = backward_pass(xs, a, active, hidden, weights * ys)
+        grad_w *= step
+        grad_a *= step
+        w += grad_w
+        a += grad_a
+    return w, a
+
+
+def _log_loss(w, a, xs, ys, kind) -> float:
+    """Log of the total loss, computed with margin shifting so that
+    arbitrarily small losses stay exact."""
+    margins = forward_pass(xs, ys, w, a)[2]
+    m_min = float(np.min(margins))
+    rel = np.exp(m_min - margins)
+    if kind == "logistic":
+        small = margins < 35.0
+        ms = margins[small]
+        rel[small] *= np.exp(ms) * np.log1p(np.exp(-ms))
+    return -m_min + math.log(float(np.sum(rel)))
+
+
+def train_to_directional_limit(
+    theta0: WeightVector,
+    dataset: LabeledDataset,
+    kind: str,
+    target_loss: float,
+    budget_steps: int,
+    s_budget: float = 2000.0,
+) -> tuple[WeightVector, int, float, float, int]:
+    """Drive training to the directional limit of the flow.
+
+    Phase one runs chunks of plain fixed-step Euler descent, with the
+    step chosen per chunk from the current loss and weight scale (halved
+    and retried whenever a chunk fails to decrease the loss) until the
+    loss reaches ``target_loss``, which must be positive.  Phase two
+    follows the time-rescaled flow dtheta/ds = -grad L / loss-scale in a
+    margin-shifted form that never underflows, rescaling the weights
+    (2-homogeneity keeps the predictor's sign and the flow's directional
+    limit) whenever margins pass 2 * MARGIN_REF.  Phase two stops once
+    the loss is at target and the unit weight direction at the end of a
+    chunk lies within DIRECTION_TOL of the direction at the end of any
+    earlier chunk: the direction has either stopped moving (period 1) or
+    come back to one it held p chunks before.  The fixed-step flow can
+    settle onto a few directions and move among them for good (at some
+    seeds a strict cycle of p chunks), so a return is as far as further
+    chunks get.  Otherwise it stops when the rescaled-time budget
+    ``s_budget`` or the step budget runs out, or the damping floor is
+    reached.
+
+    Returns (theta, steps_used, final_log_loss, log_norm_growth,
+    direction_period).  log_norm_growth is
+    ln(norm(theta_final)/norm(theta0)) accounting for every intermediate
+    rescale; direction_period is the number of chunks back to the
+    direction that matched, or 0 when a budget or the damping floor
+    ended the loop.
+    """
+    if target_loss <= 0.0:
+        raise ValueError("target_loss must be positive")
+    xs, ys = dataset.points, dataset.labels
+    max_x2 = float(np.max(np.sum(xs * xs, axis=1)))
+    theta = theta0.copy()
+    start_log_norm = math.log(theta.norm())
+    used = 0
+    damping = 1.0
+    margins = forward_pass(xs, ys, theta.weights, theta.outputs)[2]
+    loss = float(np.sum(loss_value_and_derivative(kind, margins)[0]))
+    while used < budget_steps and loss > target_loss:
+        scale2 = float(
+            np.max(np.sum(theta.weights**2, axis=1) + theta.outputs**2)
+        )
+        step = damping * 0.5 / (loss * (1.0 + scale2 * max_x2))
+        cfg = TrainerConfig(
+            loss_kind=kind,
+            step_size=step,
+            max_steps=min(DIRECTIONAL_CHUNK, budget_steps - used),
+            stop_loss=target_loss,
+            record_every=DIRECTIONAL_CHUNK,
+        )
+        try:
+            report = train(theta, dataset, cfg)
+        except NonFiniteLoss:
+            damping *= 0.5
+            continue
+        if report.final_loss > loss:
+            damping *= 0.5
+            continue
+        theta = report.final_theta
+        loss = report.final_loss
+        used += report.steps_run
+        damping = min(1.0, damping * 1.5)
+
+    w, a = theta.weights.copy(), theta.outputs.copy()
+    damping = 0.5
+    rescale_log = 0.0
+    s_used = 0.0
+    log_loss = _log_loss(w, a, xs, ys, kind)
+    visited = np.empty((0, w.size + a.size))  # chunk-end unit directions, in order
+    period = 0
+    while used < budget_steps and s_used < s_budget:
+        min_margin = -(log_loss - math.log(len(ys)))
+        if min_margin > 2.0 * MARGIN_REF:
+            alpha = math.sqrt(MARGIN_REF / min_margin)
+            w *= alpha
+            a *= alpha
+            rescale_log -= math.log(alpha)
+            log_loss = _log_loss(w, a, xs, ys, kind)
+        scale2 = float(np.max(np.sum(w * w, axis=1) + a * a))
+        step = damping * 0.5 / (1.0 + scale2 * max_x2)
+        steps = min(DIRECTIONAL_CHUNK, budget_steps - used)
+        w_next, a_next = _rescaled_chunk(w, a, xs, ys, kind, step, steps)
+        next_log_loss = _log_loss(w_next, a_next, xs, ys, kind)
+        if not (math.isfinite(next_log_loss) and next_log_loss <= log_loss + 1e-9):
+            damping *= 0.5
+            if damping < 1e-14:
+                break
+            continue
+        w, a = w_next, a_next
+        log_loss = next_log_loss
+        used += steps
+        s_used += step * steps
+        damping = min(0.5, damping * 1.5)
+        direction = np.concatenate([w.ravel(), a])
+        direction /= np.linalg.norm(direction)
+        if log_loss <= math.log(target_loss):
+            close = np.flatnonzero(np.linalg.norm(visited - direction, axis=1) < DIRECTION_TOL)
+            if close.size:
+                period = len(visited) - int(close[-1])
+                break
+        visited = np.vstack([visited, direction])
+
+    final = WeightVector(w, a)
+    log_growth = math.log(final.norm()) + rescale_log - start_log_norm
+    return final, used, log_loss, log_growth, period
+
+
 @dataclass(frozen=True)
 class ConvergenceReport:
     """Directional-convergence diagnostics against the max-margin targets.
 
-    ``cosines`` holds, for each surviving neuron (row norm above 1e-6 of
-    the largest), the cosine between its hidden row and the max-margin
+    ``cosines`` holds, for each surviving neuron (row norm above
+    SURVIVAL_FRACTION of the largest), the cosine between its hidden row and the max-margin
     vector of its output sign.  ``mass_pos``/``mass_neg`` are the summed
     squared output weights per sign; their ratio converges to
     norm(v_pos)/norm(v_neg) for direction-converged weights.
@@ -340,11 +475,10 @@ def convergence_report(
     theta: WeightVector,
     v_pos: np.ndarray,
     v_neg: np.ndarray,
-    survival_fraction: float = 1e-6,
 ) -> ConvergenceReport:
     """Per-neuron alignment of trained weights with the margin vectors."""
     norms = np.linalg.norm(theta.weights, axis=1)
-    surviving = np.flatnonzero(norms > survival_fraction * float(np.max(norms)))
+    surviving = np.flatnonzero(norms > SURVIVAL_FRACTION * float(np.max(norms)))
     cosines = []
     for j in surviving:
         target = v_pos if theta.outputs[j] > 0 else v_neg

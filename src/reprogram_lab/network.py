@@ -1,4 +1,5 @@
-"""Two-layer ReLU networks: construction, evaluation, serialisation.
+"""Two-layer ReLU networks: construction, the forward and backward pass,
+serialisation.
 
 A network maps an input x in R^d to sum_j outputs[j] * max(weights[j] . x, 0).
 There are no biases in either layer.  Instances are immutable and safe to
@@ -63,13 +64,40 @@ def random_init(d: int, k: int, rng: SeededRng) -> TwoLayerNet:
     return TwoLayerNet(weights=w, outputs=a)
 
 
+# The forward and backward pass of the net, written once for every caller.
+# Arrays may carry leading batch axes: xs (..., n, d), ys (..., n) or a
+# scalar, w (..., k, d), a (..., k); a 2-D call is the batch-free case.
+# Each stacked matmul runs the same BLAS call per batch entry as the 2-D
+# call, so a run gives the same bits alone and inside a batch.
+
+
+def forward_pass(xs, ys, w, a):
+    """Active mask (..., n, k), hidden outputs (..., n, k) and margins
+    y * N(x), shape (..., n)."""
+    pre = xs @ w.swapaxes(-1, -2)
+    active = pre > 0.0
+    hidden = np.where(active, pre, 0.0)
+    margins = ys * (hidden @ a[..., None])[..., 0]
+    return active, hidden, margins
+
+
+def backward_pass(xs, a, active, hidden, coeff):
+    """(grad_w, grad_a) of sum_i l(margin_i), given coeff_i = l'(margin_i) * y_i.
+
+    The ReLU's subgradient at an exact kink is taken as 0.
+    """
+    grad_a = (hidden.swapaxes(-1, -2) @ coeff[..., None])[..., 0]
+    grad_w = (active * coeff[..., None]).swapaxes(-1, -2) @ xs
+    grad_w *= a[..., None]
+    return grad_w, grad_a
+
+
 def forward(net: TwoLayerNet, x: np.ndarray) -> float:
     """Network output for a single input vector."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (net.d,):
         raise DimensionMismatch(f"input has shape {x.shape}, expected ({net.d},)")
-    pre = net.weights @ x
-    return float(np.maximum(pre, 0.0) @ net.outputs)
+    return float(forward_pass(x[None, :], 1.0, net.weights, net.outputs)[2][0])
 
 
 def forward_batch(net: TwoLayerNet, xs: np.ndarray) -> np.ndarray:
@@ -77,7 +105,7 @@ def forward_batch(net: TwoLayerNet, xs: np.ndarray) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != net.d:
         raise DimensionMismatch(f"batch has shape {xs.shape}, expected (n, {net.d})")
-    return np.maximum(xs @ net.weights.T, 0.0) @ net.outputs
+    return forward_pass(xs, 1.0, net.weights, net.outputs)[2]
 
 
 def network_to_text(net: TwoLayerNet) -> str:

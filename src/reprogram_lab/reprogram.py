@@ -18,8 +18,8 @@ import numpy as np
 
 from .data_models import BernoulliModel, sample_bernoulli
 from .errors import ChannelMismatch, TieEncountered, WidthExceedsDimension
-from .gradient_flow import _forward, loss_value_and_derivative
-from .network import TwoLayerNet, forward_batch
+from .gradient_flow import loss_value_and_derivative
+from .network import TwoLayerNet, forward_batch, forward_pass
 from .numerics import SeededRng, min_norm_solve
 
 TIE_TOL = 1e-14
@@ -276,7 +276,7 @@ def optimize_program(
     for _ in range(steps):
         xs, ys = sample_bernoulli(model, batch, rng)
         p = cap * q / (1.0 + np.abs(q))
-        active, _, margins = _forward(xs + p, m * ys, net.weights, net.outputs)
+        active, _, margins = forward_pass(xs + p, m * ys, net.weights, net.outputs)
         value, slope = loss_value_and_derivative("logistic", margins)
         losses.append(float(np.mean(value)))
         d_out = slope * (m * ys) / batch

@@ -34,19 +34,13 @@ from .errors import (
     ExponentConditionViolated,
     GramNotPositiveDefinite,
     HypothesisViolated,
-    NonFiniteLoss,
     TieEncountered,
 )
 from .gradient_flow import (
-    TrainerConfig,
-    WeightVector,
-    _forward,
-    _gradient,
     balanced_live_init,
     convergence_report,
-    loss_value_and_derivative,
-    train,
     train_to_crossing,
+    train_to_directional_limit,
 )
 from .maxmargin import failure_probability_bound, max_margin_vector
 from .network import forward, random_init
@@ -71,6 +65,23 @@ _BASE_PROPOSITION = 5 << 40
 _BASE_APPENDIX_A = 6 << 40
 
 _TRIAL_BLOCK = 5  # fixed sharding granularity, independent of worker count
+
+# Scale of the balanced initialisation of theorem2's and the
+# proposition's training runs.
+THEOREM2_INIT_SCALE = 0.5
+PROPOSITION_INIT_SCALE = 0.5
+
+# corollary2's thresholds: the least cosine of a surviving neuron to its
+# max-margin vector, the largest balance residual as a fraction of the
+# weight norm, the relative tolerance of the per-sign mass ratio, and the
+# least growth factor of the weight norm.
+COROLLARY2_MIN_COSINE = 0.99
+COROLLARY2_BALANCE_FRACTION = 1e-3
+COROLLARY2_MASS_RATIO_REL_TOL = 0.02
+COROLLARY2_MIN_NORM_GROWTH = 10.0
+
+# Rescaled-time budget of the proposition's directional-limit training.
+PROPOSITION_S_BUDGET = 100.0
 
 # The canonical small orthogonally separable dataset used by the
 # convergence suites: two almost-parallel points per class on opposite
@@ -160,6 +171,8 @@ def theorem1_rhs(
     C2 tau - C3 exp(-d^2/(2 k rho^2)) min(1, k rho^2 / d^2)
     - C4 sqrt(ln(1/gamma)/k) - C5 sqrt(ln(1/gamma_dag)/d).
     """
+    if k < 1:
+        raise ValueError("k must be at least 1")
     if k > d:
         raise ValueError("width k must not exceed dimension d")
     if not 0.0 < tau <= 0.5:
@@ -389,6 +402,8 @@ def corollary1_sweep(
     validate_exponents(eta_k, eta_rho, eta_tau)
     if len(d_list) < 2:
         raise ValueError("the sweep needs at least two dimensions")
+    if min(d_list) < 1:
+        raise ValueError("every d in d_list must be at least 1")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     workers = _resolve_workers(workers)
@@ -448,7 +463,6 @@ def theorem2_suite(
     step_size: float,
     max_steps: int,
     seed: int,
-    init_scale: float = 0.5,
 ) -> SuiteVerdict:
     """Every run must reach total loss below the margin-zero loss.
 
@@ -472,7 +486,7 @@ def theorem2_suite(
     for offset, kind in enumerate(("exponential", "logistic")):
         thetas = [
             balanced_live_init(
-                dataset, k, init_scale,
+                dataset, k, THEOREM2_INIT_SCALE,
                 SeededRng(seed, _BASE_THEOREM2 + (1 << 30) + 2 * i + offset),
             )
             for i, dataset in enumerate(datasets)
@@ -503,172 +517,15 @@ def theorem2_suite(
     )
 
 
-def _total_loss(theta: WeightVector, dataset: LabeledDataset, kind: str) -> float:
-    margins = _forward(dataset.points, dataset.labels, theta.weights, theta.outputs)[2]
-    values, _ = loss_value_and_derivative(kind, margins)
-    return float(np.sum(values))
-
-
-def _rescaled_chunk(w, a, xs, ys, kind, step, steps):
-    """``steps`` Euler steps of the time-rescaled flow from (w, a), which
-    are not modified.  The per-sample gradient weights -l'(margin) are
-    scaled by exp(min margin), so they stay exact however small the loss
-    gets."""
-    w, a = w.copy(), a.copy()
-    for _ in range(steps):
-        active, hidden, margins = _forward(xs, ys, w, a)
-        weights = np.exp(margins.min() - margins)
-        if kind == "logistic":
-            weights /= 1.0 + np.exp(-margins)
-        grad_w, grad_a = _gradient(xs, a, active, hidden, weights * ys)
-        grad_w *= step
-        grad_a *= step
-        w += grad_w
-        a += grad_a
-    return w, a
-
-
-def _log_loss(w, a, xs, ys, kind) -> float:
-    """Log of the total loss, computed with margin shifting so that
-    arbitrarily small losses stay exact."""
-    margins = _forward(xs, ys, w, a)[2]
-    m_min = float(np.min(margins))
-    rel = np.exp(m_min - margins)
-    if kind == "logistic":
-        small = margins < 35.0
-        ms = margins[small]
-        rel[small] *= np.exp(ms) * np.log1p(np.exp(-ms))
-    return -m_min + math.log(float(np.sum(rel)))
-
-
-def train_to_directional_limit(
-    theta0: WeightVector,
-    dataset: LabeledDataset,
-    kind: str,
-    target_loss: float,
-    budget_steps: int,
-    chunk: int = 1000,
-    margin_ref: float = 80.0,
-    direction_tol: float = 1e-9,
-    s_budget: float = 2000.0,
-) -> tuple[WeightVector, int, float, float, int]:
-    """Drive training to the directional limit of the flow.
-
-    Phase one runs chunks of plain fixed-step Euler descent, with the
-    step chosen per chunk from the current loss and weight scale (halved
-    and retried whenever a chunk fails to decrease the loss) until the
-    loss reaches ``target_loss``.  Phase two follows the time-rescaled
-    flow dtheta/ds = -grad L / loss-scale in a margin-shifted form that
-    never underflows, rescaling the weights (2-homogeneity keeps the
-    predictor's sign and the flow's directional limit) whenever margins
-    pass 2 * margin_ref.  Phase two stops once the loss is at target and
-    the unit weight direction at the end of a chunk lies within
-    ``direction_tol`` of the direction at the end of any earlier chunk:
-    the direction has either stopped moving (period 1) or come back to
-    one it held p chunks before.  The fixed-step flow can settle onto a
-    few directions and move among them for good (at some seeds a strict
-    cycle of p chunks), so a return is as far as further chunks get.
-    Otherwise it stops when the rescaled-time or step budget runs out,
-    or the damping floor is reached.
-
-    Returns (theta, steps_used, final_log_loss, log_norm_growth,
-    direction_period).  log_norm_growth is
-    ln(norm(theta_final)/norm(theta0)) accounting for every intermediate
-    rescale; direction_period is the number of chunks back to the
-    direction that matched, or 0 when a budget or the damping floor
-    ended the loop.
-    """
-    xs, ys = dataset.points, dataset.labels
-    max_x2 = float(np.max(np.sum(xs * xs, axis=1)))
-    theta = theta0.copy()
-    start_log_norm = math.log(theta.norm())
-    used = 0
-    damping = 1.0
-    while used < budget_steps:
-        loss = _total_loss(theta, dataset, kind)
-        if loss <= target_loss:
-            break
-        scale2 = float(
-            np.max(np.sum(theta.weights**2, axis=1) + theta.outputs**2)
-        )
-        step = damping * 0.5 / (loss * (1.0 + scale2 * max_x2))
-        cfg = TrainerConfig(
-            loss_kind=kind,
-            step_size=step,
-            max_steps=min(chunk, budget_steps - used),
-            stop_loss=target_loss,
-            record_every=chunk,
-        )
-        try:
-            report = train(theta, dataset, cfg)
-        except NonFiniteLoss:
-            damping *= 0.5
-            continue
-        if report.final_loss > loss:
-            damping *= 0.5
-            continue
-        theta = report.final_theta
-        used += report.steps_run
-        damping = min(1.0, damping * 1.5)
-
-    w, a = theta.weights.copy(), theta.outputs.copy()
-    damping = 0.5
-    rescale_log = 0.0
-    s_used = 0.0
-    log_loss = _log_loss(w, a, xs, ys, kind)
-    visited = np.empty((0, w.size + a.size))  # chunk-end unit directions, in order
-    period = 0
-    while used < budget_steps and s_used < s_budget:
-        min_margin = -(log_loss - math.log(len(ys)))
-        if min_margin > 2.0 * margin_ref:
-            alpha = math.sqrt(margin_ref / min_margin)
-            w *= alpha
-            a *= alpha
-            rescale_log -= math.log(alpha)
-            log_loss = _log_loss(w, a, xs, ys, kind)
-        scale2 = float(np.max(np.sum(w * w, axis=1) + a * a))
-        step = damping * 0.5 / (1.0 + scale2 * max_x2)
-        steps = min(chunk, budget_steps - used)
-        w_next, a_next = _rescaled_chunk(w, a, xs, ys, kind, step, steps)
-        next_log_loss = _log_loss(w_next, a_next, xs, ys, kind)
-        if not (math.isfinite(next_log_loss) and next_log_loss <= log_loss + 1e-9):
-            damping *= 0.5
-            if damping < 1e-14:
-                break
-            continue
-        w, a = w_next, a_next
-        log_loss = next_log_loss
-        used += steps
-        s_used += step * steps
-        damping = min(0.5, damping * 1.5)
-        direction = np.concatenate([w.ravel(), a])
-        direction /= np.linalg.norm(direction)
-        if log_loss <= math.log(target_loss):
-            close = np.flatnonzero(np.linalg.norm(visited - direction, axis=1) < direction_tol)
-            if close.size:
-                period = len(visited) - int(close[-1])
-                break
-        visited = np.vstack([visited, direction])
-
-    final = WeightVector(w, a)
-    log_growth = math.log(final.norm()) + rescale_log - start_log_norm
-    return final, used, log_loss, log_growth, period
-
-
 def corollary2_suite(
     seed: int,
-    dataset: LabeledDataset | None = None,
     k: int = 8,
     init_scale: float = 0.1,
     loss_kind: str = "exponential",
     target_loss: float = 1e-6,
     budget_steps: int = 10_000_000,
-    min_cosine: float = 0.99,
-    balance_fraction: float = 1e-3,
-    mass_ratio_rel_tol: float = 0.02,
-    min_norm_growth: float = 10.0,
 ) -> SuiteVerdict:
-    """Directional-convergence suite on a fixed dataset.
+    """Directional-convergence suite on the four-point dataset.
 
     Trains to the flow's directional limit (loss at or below
     ``target_loss`` and a weight direction that has stopped moving or
@@ -676,16 +533,16 @@ def corollary2_suite(
     reported as ``direction_period``, 0 when a budget or the damping
     floor ended training, and is not part of the verdict), computes the
     per-class max-margin vectors, and checks: every surviving neuron's
-    cosine to its target is at least ``min_cosine``; the worst balance
-    residual is at most ``balance_fraction`` times the weight norm; the
-    per-sign squared-output masses have ratio within
-    ``mass_ratio_rel_tol`` of norm(v_pos)/norm(v_neg); and the weight
-    norm grew by at least ``min_norm_growth``.  If the loss target is
-    not reached within budget the verdict fails and is flagged
+    cosine to its target is at least COROLLARY2_MIN_COSINE; the worst
+    balance residual is at most COROLLARY2_BALANCE_FRACTION times the
+    weight norm; the per-sign squared-output masses have ratio within
+    COROLLARY2_MASS_RATIO_REL_TOL of norm(v_pos)/norm(v_neg); and the
+    weight norm grew by at least COROLLARY2_MIN_NORM_GROWTH.  If the loss
+    target is not reached within budget the verdict fails and is flagged
     inconclusive.
     """
     started = time.perf_counter()
-    data = dataset if dataset is not None else four_point_dataset()
+    data = four_point_dataset()
     theta0 = balanced_live_init(data, k, init_scale, SeededRng(seed, _BASE_COROLLARY2))
     theta, steps_used, log_loss, log_growth, period = train_to_directional_limit(
         theta0, data, loss_kind, target_loss, budget_steps
@@ -695,13 +552,13 @@ def corollary2_suite(
     v_neg = max_margin_vector(data.points[data.labels < 0]).vector
     report = convergence_report(theta, v_pos, v_neg)
     ratio_target = float(np.linalg.norm(v_pos) / np.linalg.norm(v_neg))
-    balance_limit = balance_fraction * theta.norm()
-    growth_ok = log_growth >= math.log(min_norm_growth)
+    balance_limit = COROLLARY2_BALANCE_FRACTION * theta.norm()
+    mass_ratio_error = abs(report.mass_ratio - ratio_target)
     checks = {
-        "cosine_ok": report.min_cosine >= min_cosine,
+        "cosine_ok": report.min_cosine >= COROLLARY2_MIN_COSINE,
         "balance_ok": report.max_balance_residual <= balance_limit,
-        "mass_ratio_ok": abs(report.mass_ratio - ratio_target) <= mass_ratio_rel_tol * ratio_target,
-        "growth_ok": growth_ok,
+        "mass_ratio_ok": mass_ratio_error <= COROLLARY2_MASS_RATIO_REL_TOL * ratio_target,
+        "growth_ok": log_growth >= math.log(COROLLARY2_MIN_NORM_GROWTH),
     }
     measured = {
         "inconclusive": inconclusive,
@@ -724,10 +581,10 @@ def corollary2_suite(
         runtime_seconds=time.perf_counter() - started,
         measured=measured,
         threshold={
-            "min_cosine": min_cosine,
+            "min_cosine": COROLLARY2_MIN_COSINE,
             "max_balance_residual": balance_limit,
-            "mass_ratio": mass_ratio_rel_tol,
-            "log10_norm_growth": math.log10(min_norm_growth),
+            "mass_ratio": COROLLARY2_MASS_RATIO_REL_TOL,
+            "log10_norm_growth": math.log10(COROLLARY2_MIN_NORM_GROWTH),
         },
     )
 
@@ -751,14 +608,12 @@ def proposition_suite(
     k: int = 8,
     n_pos: int = 4,
     n_neg: int = 4,
-    init_scale: float = 0.5,
     loss_kind: str = "exponential",
     target_loss: float = 1e-6,
     budget_steps: int = 10_000_000,
     opt_steps: int = 400,
     opt_lr: float = 0.01,
     opt_batch: int = 128,
-    s_budget: float = 100.0,
 ) -> SuiteVerdict:
     """Failure bound for a trained network, against three program sources.
 
@@ -777,9 +632,11 @@ def proposition_suite(
         raise ValueError("trials must be at least 1")
     started = time.perf_counter()
     data = generate_orthosep(d, n_pos, n_neg, SeededRng(seed, _BASE_PROPOSITION))
-    theta0 = balanced_live_init(data, k, init_scale, SeededRng(seed, _BASE_PROPOSITION + 1))
+    theta0 = balanced_live_init(
+        data, k, PROPOSITION_INIT_SCALE, SeededRng(seed, _BASE_PROPOSITION + 1)
+    )
     theta, steps_used, log_loss, _, _ = train_to_directional_limit(
-        theta0, data, loss_kind, target_loss, budget_steps, s_budget=s_budget
+        theta0, data, loss_kind, target_loss, budget_steps, s_budget=PROPOSITION_S_BUDGET
     )
     net = theta.to_network()
     v_pos = max_margin_vector(data.points[data.labels > 0]).vector
@@ -852,6 +709,8 @@ def appendix_a_suite(
     """
     if partition_trials < 1 or sv_trials < 1:
         raise ValueError("partition_trials and sv_trials must be at least 1")
+    if not 0.0 < sv_gamma < 1.0:
+        raise ValueError("sv_gamma must lie in (0, 1)")
     started = time.perf_counter()
     measured = {"partition_trials": partition_trials, "sv_trials": sv_trials}
     threshold = {}

@@ -1,10 +1,12 @@
 """Tests for the command-line front end: configuration resolution, exit
 codes, file layout, and byte-level determinism of outputs."""
 
+import functools
+
 import numpy as np
 import pytest
 
-from reprogram_lab import cli
+from reprogram_lab import cli, verify
 from reprogram_lab.cli import main, parse_config
 from reprogram_lab.errors import ConfigError
 from reprogram_lab.numerics import SeededRng
@@ -129,6 +131,41 @@ class TestExitCodes:
         assert "must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "out" / f"{command}.verdict.txt").exists()
 
+    @pytest.mark.parametrize("command,args,key", [
+        ("verify-theorem1", ["--d", "16", "--tau", "0.4", "--k", "0"], "k"),
+        ("verify-theorem1", ["--d", "16", "--tau", "0.4", "--k", "-1"], "k"),
+        ("sweep-corollary1", ["--d_list", "0,256", "--trials", "10"], "d_list"),
+        ("verify-appendix-a", ["--sv_gamma", "0", "--partition_trials", "10", "--sv_trials", "10"],
+         "sv_gamma"),
+        ("verify-appendix-a", ["--sv_gamma", "1", "--partition_trials", "10", "--sv_trials", "10"],
+         "sv_gamma"),
+        ("verify-theorem2", ["--step_size", "-1", "--datasets", "2"], "step_size"),
+        ("verify-theorem2", ["--step_size", "0", "--datasets", "2", "--max_steps", "100"],
+         "step_size"),
+        ("verify-corollary2", ["--target_loss", "0", "--budget_steps", "2000"], "target_loss"),
+        ("verify-corollary2", ["--target_loss", "-1", "--budget_steps", "2000"], "target_loss"),
+        ("verify-proposition", ["--target_loss", "0", "--trials", "100", "--opt_steps", "5"],
+         "target_loss"),
+    ], ids=[
+        "theorem1-k0", "theorem1-k-1", "corollary1-d0", "appendix-a-gamma0",
+        "appendix-a-gamma1", "theorem2-step-1", "theorem2-step0", "corollary2-target0",
+        "corollary2-target-1", "proposition-target0",
+    ])
+    def test_out_of_range_parameter_is_a_config_error(
+        self, tmp_path, monkeypatch, capsys, command, args, key
+    ):
+        # each value would crash, pass vacuously or train until a step
+        # budget runs out; the proposition's CLI sets no budget, so it gets
+        # a small one here in case its target is not rejected
+        monkeypatch.setattr(
+            cli, "proposition_suite",
+            functools.partial(verify.proposition_suite, budget_steps=2000),
+        )
+        code = run_cli([command, *args, "--output_dir", str(tmp_path / "out")])
+        assert code == 2
+        assert f"{key} must" in capsys.readouterr().err
+        assert not (tmp_path / "out" / f"{command}.verdict.txt").exists()
+
     def test_help_exits_0(self):
         assert run_cli(["--help"]) == 0
 
@@ -155,6 +192,49 @@ class TestExitCodes:
         assert code in (0, 1)
         text = (tmp_path / "out" / "verify-appendix-a.verdict.txt").read_text()
         assert "measured.sv_failure_rate" in text
+
+
+class TestSuiteWiring:
+    # each suite command at a small non-default config, against the
+    # library call it should make
+    @pytest.mark.parametrize("command,args,call", [
+        ("verify-theorem1",
+         ["--d", "64", "--k", "8", "--rho", "3", "--tau", "0.4", "--gamma", "0.05",
+          "--trials", "20", "--workers", "1"],
+         lambda: verify.theorem1_montecarlo(verify.Theorem1Config(
+             d=64, k=8, rho=3.0, tau=0.4, gamma=0.05, gamma_dag=0.01, trials=20, seed=5,
+         ), workers=1)),
+        ("sweep-corollary1",
+         ["--d_list", "16,32", "--trials", "20", "--eta_rho", "0.25", "--workers", "1"],
+         lambda: verify.corollary1_sweep(2.0 / 3.0, 0.25, 0.2, (16, 32), 20, 5, workers=1)[0]),
+        ("verify-theorem2",
+         ["--datasets", "2", "--k", "6", "--n_pos", "3", "--step_size", "0.002",
+          "--max_steps", "5000"],
+         lambda: verify.theorem2_suite(2, 2, 6, 3, 2, 0.002, 5000, 5)),
+        ("verify-corollary2",
+         ["--k", "6", "--init_scale", "0.2", "--budget_steps", "3000"],
+         lambda: verify.corollary2_suite(5, k=6, init_scale=0.2, budget_steps=3000)),
+        ("verify-proposition",
+         ["--d", "16", "--trials", "200", "--opt_steps", "5", "--target_loss", "0.001"],
+         lambda: verify.proposition_suite(5, d=16, trials=200, opt_steps=5, target_loss=1e-3)),
+        ("verify-appendix-a",
+         ["--partition_trials", "100", "--sv_d", "64", "--sv_k", "8", "--sv_gamma", "0.05",
+          "--sv_trials", "10"],
+         lambda: verify.appendix_a_suite(
+             5, partition_trials=100, sv_d=64, sv_k=8, sv_gamma=0.05, sv_trials=10,
+         )),
+    ], ids=["theorem1", "corollary1", "theorem2", "corollary2", "proposition", "appendix-a"])
+    def test_verdict_is_the_library_verdict(self, tmp_path, command, args, call):
+        run_cli([command, *args, "--seed", "5", "--output_dir", str(tmp_path)])
+        written = [
+            line for line in read_without_runtime(tmp_path / f"{command}.verdict.txt").splitlines()
+            if not line.startswith("#")
+        ]
+        expected = [
+            line for line in verify.verdict_to_text(call()).splitlines()
+            if not line.startswith("runtime_seconds")
+        ]
+        assert written == expected
 
 
 class TestOutputs:

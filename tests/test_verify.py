@@ -37,7 +37,7 @@ from reprogram_lab.verify import (
     train_to_directional_limit,
     verdict_to_text,
 )
-from reprogram_lab.verify import _log_loss, _rescaled_chunk
+from reprogram_lab.gradient_flow import _log_loss, _rescaled_chunk
 
 SMALL_T1 = Theorem1Config(
     d=256, k=41, rho=256**0.3, tau=256**-0.2,
