@@ -17,10 +17,6 @@ class GramNotPositiveDefinite(ReprogramLabError):
     """
 
 
-class ConvergenceFailure(ReprogramLabError):
-    """An iterative solver exhausted its iteration budget."""
-
-
 class DimensionMismatch(ReprogramLabError):
     """An input vector's length does not match the expected dimension."""
 
@@ -54,7 +50,8 @@ class NonFiniteLoss(ReprogramLabError):
 
 
 class Infeasible(ReprogramLabError):
-    """The margin problem has no feasible point (dual unbounded)."""
+    """The margin problem has no feasible point: a convex combination of
+    the points is the origin."""
 
 
 class HypothesisViolated(ReprogramLabError):

@@ -258,6 +258,8 @@ def train_to_crossing(
     """
     if step_size <= 0.0:
         raise ValueError("step_size must be positive")
+    if max_steps < 0:
+        raise ValueError("max_steps must be >= 0")
     if not thetas:
         return [], np.empty(0)
     xs = np.stack([data.points for data in datasets])
@@ -364,6 +366,8 @@ def train_to_directional_limit(
     """
     if target_loss <= 0.0:
         raise ValueError("target_loss must be positive")
+    if budget_steps < 0:
+        raise ValueError("budget_steps must be >= 0")
     xs, ys = dataset.points, dataset.labels
     max_x2 = float(np.max(np.sum(xs * xs, axis=1)))
     theta = theta0.copy()

@@ -1,4 +1,4 @@
-"""Per-class maximum-margin vectors via the dual quadratic program,
+"""Per-class maximum-margin vectors by least-distance programming,
 KKT certification, and the closed-form reprogramming failure bound."""
 
 from __future__ import annotations
@@ -8,17 +8,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, HypothesisViolated, Infeasible
-from .numerics import singular_extremes
+from .errors import HypothesisViolated, Infeasible
+from .numerics import min_norm_solve
 
 KKT_TOL = 1e-8
 
-_MAX_ITERS = 2_000_000
-_CHECK_EVERY = 64
-# The step schedule must decay slowly: the base step 1/lambda_max(G)
-# already guarantees monotone convergence, so decay exists only to damp
-# degenerate instances.
-_DECAY = 1e-7
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -26,9 +21,9 @@ class MarginSolution:
     """Solution of: minimise ||v||^2 / 2 subject to v.x_i >= 1 for all i.
 
     ``vector`` is the minimiser, ``multipliers`` the nonnegative dual
-    variables with vector = sum_i multipliers[i] * x_i (exactly, by
-    construction), ``margin_slacks`` the values v.x_i - 1, and
-    ``kkt_residual`` the largest of the three KKT residuals at exit.
+    variables with vector = sum_i multipliers[i] * x_i up to rounding,
+    ``margin_slacks`` the values v.x_i - 1, and ``kkt_residual`` the
+    largest of the three KKT residuals.
     """
 
     vector: np.ndarray
@@ -54,77 +49,75 @@ def kkt_residuals(
     return feasibility, stationarity, complementarity
 
 
-def max_margin_vector(
-    points: np.ndarray, tol: float = KKT_TOL, start: np.ndarray | None = None
-) -> MarginSolution:
+def max_margin_vector(points: np.ndarray) -> MarginSolution:
     """Minimum-norm vector with margin at least 1 on every given point.
 
-    Solves the dual QP (minimise lambda.G.lambda/2 - 1.lambda over
-    lambda >= 0, G the Gram matrix) by projected gradient descent with a
-    fixed diminishing step schedule, stopping once all KKT residuals are
-    at or below ``tol``.  The primal vector is recovered as X^T lambda,
-    which makes the stationarity residual zero by construction.  The
-    minimiser is unique, so any nonnegative ``start`` reaches the same
-    vector.
+    A least-distance program, solved as in Lawson & Hanson, *Solving Least
+    Squares Problems* (1974), ch. 23: with X's rows scaled to largest norm
+    1, E = [Xᵀ; 1ᵀ] and f = (0, ..., 0, 1), the NNLS solution u >= 0 of
+    min ||E u - f|| leaves a residual r with ||r||² = 1 - sum(u), zero
+    exactly when no feasible vector exists.  The points with u_i > 0 are
+    the active constraints.  The vector is then the minimum-norm solution
+    of X_A v = 1 on them and the multipliers its coefficients in them,
+    which avoids the cancellation in u / (1 - sum(u)).
 
-    Raises
-    ------
-    Infeasible
-        If the dual iterates blow up (no feasible primal exists).
-    ConvergenceFailure
-        If the iteration budget runs out first.
+    Raises :class:`Infeasible` if ||r||² is within rounding of zero: a
+    convex combination of the points is then the origin.
     """
     x = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if x.shape[0] < 1:
         raise ValueError("points must be nonempty")
-    n = x.shape[0]
-    gram = x @ x.T
-    _, s_max = singular_extremes(x)
-    if s_max == 0.0:
-        raise ValueError("points must be nonzero")
-    base_step = 1.0 / (s_max * s_max)
-
-    if start is None:
-        lam = np.zeros(n)
-    else:
-        lam = np.maximum(np.asarray(start, dtype=np.float64).copy(), 0.0)
-        if lam.shape != (n,):
-            raise ValueError("start must hold one multiplier per point")
-    for it in range(_MAX_ITERS):
-        grad = gram @ lam - 1.0
-        if it % _CHECK_EVERY == 0:
-            # grad_i equals the margin slack v.x_i - 1 at the current iterate.
-            feasibility = max(0.0, float(np.max(-grad)))
-            complementarity = float(np.max(np.abs(lam * grad)))
-            if feasibility <= tol and complementarity <= tol:
-                v = x.T @ lam
-                slacks = x @ v - 1.0
-                resid = max(kkt_residuals(
-                    MarginSolution(v, lam, slacks, 0.0), x))
-                return MarginSolution(
-                    vector=v,
-                    multipliers=lam,
-                    margin_slacks=slacks,
-                    kkt_residual=resid,
-                )
-            if _dual_unbounded(gram, lam, s_max):
-                raise Infeasible("dual iterates unbounded; no feasible margin vector")
-        step = base_step / (1.0 + it * _DECAY)
-        lam = np.maximum(lam - step * grad, 0.0)
-    raise ConvergenceFailure(
-        f"projected gradient did not reach KKT residual {tol:g} in {_MAX_ITERS} iterations"
-    )
+    n, d = x.shape
+    scale = float(np.max(np.linalg.norm(x, axis=1))) or 1.0
+    u, resid = _nnls(np.vstack([x.T / scale, np.ones(n)]), np.append(np.zeros(d), 1.0))
+    if float(resid @ resid) <= _EPS:
+        raise Infeasible("the origin is a convex combination of the points; no margin vector")
+    rows = x[u > 0.0]
+    v = min_norm_solve(rows, np.ones(len(rows)))
+    v += min_norm_solve(rows, 1.0 - rows @ v)  # one refinement step, within the row space
+    lam = np.zeros(n)
+    lam[u > 0.0] = np.linalg.lstsq(rows.T, v, rcond=None)[0]
+    slacks = x @ v - 1.0
+    worst = max(kkt_residuals(MarginSolution(v, lam, slacks, 0.0), x))
+    return MarginSolution(vector=v, multipliers=lam, margin_slacks=slacks, kkt_residual=worst)
 
 
-def _dual_unbounded(gram: np.ndarray, lam: np.ndarray, s_max: float) -> bool:
-    """Certify an unbounded dual: a large iterate running along a direction
-    that is (numerically) in the Gram null space with positive coefficient
-    sum, i.e. a recession direction of strictly decreasing dual objective."""
-    norm = float(np.linalg.norm(lam))
-    if norm < 1e4:
-        return False
-    u = lam / norm
-    return float(u @ (gram @ u)) < 1e-8 * s_max * s_max and float(np.sum(u)) > 0.0
+def _nnls(e: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lawson–Hanson active-set solution u >= 0 of min ||e u - f||, and its
+    residual f - e u.  Each pass frees the column of largest positive
+    gradient and solves least squares on the free columns, stepping back to
+    the boundary of u >= 0 while a free coefficient would turn nonpositive.
+    A pass that does not lower the residual ends the loop; u is a function
+    of the free set, so no free set recurs and the loop is finite."""
+    n = e.shape[1]
+    u, resid, free = np.zeros(n), f.copy(), np.zeros(n, dtype=bool)
+    grad_tol = 10.0 * _EPS * max(e.shape) * float(np.max(np.sum(np.abs(e), axis=0)))
+    while not np.all(free):
+        grad = np.where(free, -np.inf, e.T @ resid)
+        j = int(np.argmax(grad))
+        if grad[j] <= grad_tol:
+            break
+        free[j] = True
+        trial = u.copy()
+        while True:
+            z = np.zeros(n)
+            z[free] = np.linalg.lstsq(e[:, free], f, rcond=None)[0]
+            bad = free & (z <= 0.0)
+            if not np.any(bad):
+                break
+            # step toward z until the first free coefficient reaches zero
+            reach = np.full(n, np.inf)
+            reach[bad] = trial[bad] / np.maximum(trial[bad] - z[bad], np.finfo(float).tiny)
+            hit = int(np.argmin(reach))
+            trial += reach[hit] * (z - trial)
+            free &= trial > 0.0
+            free[hit] = False
+            trial[~free] = 0.0
+        new_resid = f - e @ z
+        if np.linalg.norm(new_resid) >= np.linalg.norm(resid):
+            break
+        u, resid = z, new_resid
+    return u, resid
 
 
 def failure_probability_bound(

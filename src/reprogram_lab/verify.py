@@ -705,12 +705,16 @@ def appendix_a_suite(
     three binomial standard errors of 2^-k for each width (memberships
     are independent fair coins); (3) extreme singular values of sampled
     weight matrices violate the closed-form concentration bounds at rate
-    at most gamma plus three standard errors.
+    at most gamma plus three standard errors; these need sv_k <= sv_d.
+    ``sv_lower_bound_positive``, not part of the verdict, says whether
+    s_min can violate the lower bound at all.
     """
     if partition_trials < 1 or sv_trials < 1:
         raise ValueError("partition_trials and sv_trials must be at least 1")
     if not 0.0 < sv_gamma < 1.0:
         raise ValueError("sv_gamma must lie in (0, 1)")
+    if sv_k > sv_d:
+        raise ValueError("sv_k must not exceed sv_d")
     started = time.perf_counter()
     measured = {"partition_trials": partition_trials, "sv_trials": sv_trials}
     threshold = {}
@@ -758,6 +762,7 @@ def appendix_a_suite(
     sv_slack = sv_gamma + 3.0 * math.sqrt(sv_gamma * (1.0 - sv_gamma) / sv_trials)
     measured["sv_failure_rate"] = rate
     measured["sv_lower_bound"] = lower
+    measured["sv_lower_bound_positive"] = lower > 0.0
     measured["sv_upper_bound"] = upper
     threshold["sv_failure_rate"] = sv_slack
     passed = passed and rate <= sv_slack

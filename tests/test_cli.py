@@ -146,10 +146,15 @@ class TestExitCodes:
         ("verify-corollary2", ["--target_loss", "-1", "--budget_steps", "2000"], "target_loss"),
         ("verify-proposition", ["--target_loss", "0", "--trials", "100", "--opt_steps", "5"],
          "target_loss"),
+        ("verify-corollary2", ["--budget_steps", "-5"], "budget_steps"),
+        ("verify-theorem2", ["--max_steps", "-1", "--datasets", "2"], "max_steps"),
+        ("verify-appendix-a", ["--sv_d", "8", "--sv_k", "16", "--partition_trials", "5",
+                               "--sv_trials", "5"], "sv_k"),
     ], ids=[
         "theorem1-k0", "theorem1-k-1", "corollary1-d0", "appendix-a-gamma0",
         "appendix-a-gamma1", "theorem2-step-1", "theorem2-step0", "corollary2-target0",
-        "corollary2-target-1", "proposition-target0",
+        "corollary2-target-1", "proposition-target0", "corollary2-budget-5",
+        "theorem2-steps-1", "appendix-a-k-above-d",
     ])
     def test_out_of_range_parameter_is_a_config_error(
         self, tmp_path, monkeypatch, capsys, command, args, key
@@ -192,6 +197,8 @@ class TestExitCodes:
         assert code in (0, 1)
         text = (tmp_path / "out" / "verify-appendix-a.verdict.txt").read_text()
         assert "measured.sv_failure_rate" in text
+        # sqrt(100) - sqrt(100) - spread < 0: s_min cannot violate the bound
+        assert "measured.sv_lower_bound_positive = false" in text
 
 
 class TestSuiteWiring:

@@ -2,6 +2,7 @@
 closed-form failure bound."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -9,12 +10,14 @@ import pytest
 from reprogram_lab.data_models import generate_orthosep
 from reprogram_lab.errors import HypothesisViolated, Infeasible
 from reprogram_lab.maxmargin import (
+    KKT_TOL,
     MarginSolution,
     failure_probability_bound,
     kkt_residuals,
     max_margin_vector,
 )
 from reprogram_lab.numerics import SeededRng
+from reprogram_lab.verify import _BASE_PROPOSITION, four_point_dataset
 
 
 def brute_force_margin(points):
@@ -43,6 +46,15 @@ def brute_force_margin(points):
                 if best is None or value < best[0] - 1e-12:
                     best = (value, v)
     return best
+
+
+def ill_conditioned_instance(seed, cond, n=10, d=20):
+    """n points in d dimensions as U diag(s) Vᵀ with orthonormal U, V and
+    singular values s log-spaced from 1 down to 1 / cond."""
+    rng = SeededRng(seed, 0)
+    u, _ = np.linalg.qr(rng.gaussian(n * n).reshape(n, n))
+    v, _ = np.linalg.qr(rng.gaussian(d * n).reshape(d, n))
+    return u @ np.diag(np.logspace(0.0, -np.log10(cond), n)) @ v.T
 
 
 def feasible_instance(rng, max_n=6, max_d=4):
@@ -81,12 +93,6 @@ class TestMaxMarginVector:
             assert oracle is not None
             assert 0.5 * sol.vector @ sol.vector == pytest.approx(oracle[0], abs=1e-6)
 
-    def test_unique_minimiser_from_different_starts(self):
-        points = feasible_instance(SeededRng(51, 0))
-        a = max_margin_vector(points)
-        b = max_margin_vector(points, start=np.full(points.shape[0], 3.0))
-        assert np.linalg.norm(a.vector - b.vector) <= 1e-6
-
     def test_scale_covariance(self):
         points = feasible_instance(SeededRng(52, 0))
         base = max_margin_vector(points).vector
@@ -103,16 +109,46 @@ class TestMaxMarginVector:
         np.testing.assert_allclose(sol.vector, positives.T @ sol.multipliers, atol=1e-10)
 
     def test_infeasible_instance_detected(self):
-        with pytest.raises(Infeasible):
-            max_margin_vector(np.array([[1.0], [-1.0]]))
+        for points in (
+            [[1.0], [-1.0]],
+            [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]],
+            [[1.0, 1.0], [-2.0, -2.0]],
+        ):
+            with pytest.raises(Infeasible):
+                max_margin_vector(np.array(points))
+
+    @pytest.mark.parametrize("seed,cond", [(1, 1e3), (1, 3e3), (2, 1e3), (2, 3e3)])
+    def test_ill_conditioned_instance(self, seed, cond):
+        # the largest multipliers here are 2e4 to 3e6, so a KKT residual
+        # that is absolute need not reach KKT_TOL; feasibility and the
+        # objective are checked instead
+        points = ill_conditioned_instance(seed, cond)
+        started = time.perf_counter()
+        sol = max_margin_vector(points)
+        assert time.perf_counter() - started < 0.1
+        feasibility, _, _ = kkt_residuals(sol, points)
+        assert feasibility <= 1e-9
+        oracle = brute_force_margin(points)
+        assert 0.5 * sol.vector @ sol.vector == pytest.approx(oracle[0], rel=1e-9)
+
+
+def suite_instances():
+    """Each class of the four-point set and of the proposition's dataset
+    (d = 64, four points a class) at five seeds."""
+    datasets = [four_point_dataset()] + [
+        generate_orthosep(64, 4, 4, SeededRng(seed, _BASE_PROPOSITION))
+        for seed in (97531, 8191, 1, 2, 3)
+    ]
+    return [data.points[data.labels * sign > 0] for data in datasets for sign in (1, -1)]
 
 
 class TestKktResiduals:
     def test_optimal_solution_has_tiny_residuals(self):
-        points = np.array([[2.0, 0.0]])
-        sol = max_margin_vector(points)
-        feas, stat, comp = kkt_residuals(sol, points)
-        assert feas <= 1e-10 and stat <= 1e-10 and comp <= 1e-10
+        for points in (np.array([[2.0, 0.0]]), *suite_instances()):
+            sol = max_margin_vector(points)
+            feas, stat, comp = kkt_residuals(sol, points)
+            assert feas <= 1e-10 and stat <= 1e-10 and comp <= 1e-10
+            assert sol.kkt_residual <= KKT_TOL
 
     def test_zero_vector_feasibility_is_one(self):
         points = feasible_instance(SeededRng(54, 0))
