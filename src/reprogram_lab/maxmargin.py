@@ -37,15 +37,24 @@ def kkt_residuals(
 ) -> tuple[float, float, float]:
     """The three KKT residuals (feasibility, stationarity, complementarity).
 
-    feasibility    = max(0, max_i (1 - v.x_i))
-    stationarity   = || v - sum_i lambda_i x_i ||
-    complementarity = max_i | lambda_i (v.x_i - 1) |
+    feasibility     = max(0, max_i (1 - v.x_i))
+    stationarity    = || v - sum_i lambda_i x_i || / max(1, sum_i lambda_i ||x_i||)
+    complementarity = max_i | lambda_i (v.x_i - 1) | / max(1, sum_i lambda_i)
+
+    The last two are relative to the scale of the terms they sum, so that
+    rounding in v.x_i leaves them near machine precision even when the
+    multipliers are large (at the optimum sum_i lambda_i = ||v||²).
     """
     x = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    lam = sol.multipliers
     margins = x @ sol.vector
     feasibility = float(max(0.0, np.max(1.0 - margins)))
-    stationarity = float(np.linalg.norm(sol.vector - x.T @ sol.multipliers))
-    complementarity = float(np.max(np.abs(sol.multipliers * (margins - 1.0))))
+    stationarity = float(np.linalg.norm(sol.vector - x.T @ lam)) / max(
+        1.0, float(np.abs(lam) @ np.linalg.norm(x, axis=1))
+    )
+    complementarity = float(np.max(np.abs(lam * (margins - 1.0)))) / max(
+        1.0, float(np.sum(np.abs(lam)))
+    )
     return feasibility, stationarity, complementarity
 
 

@@ -4,7 +4,11 @@ Every routine is deterministic given its inputs.  Random draws come from
 counter-based streams addressed by (master_seed, stream_id), so identical
 seeds replay bitwise-identical sequences and distinct stream ids can be
 handed to independent workers.  Gaussians come from Box-Muller computed
-in cache-sized blocks straight into the output array.
+in cache-sized blocks straight into the output array.  The angle's cosine
+and sine are not libm's: :func:`_cos_sin_turns` reduces the angle word to
+a quarter turn exactly in integers and evaluates fdlibm's kernel
+polynomials with float adds and multiplies, so the draws depend on no
+libm but numpy's ``np.log`` for the radius.
 
 :func:`one_blas_thread` holds numpy's bundled OpenBLAS to one thread, so
 that threads running trials side by side do not oversubscribe the cores
@@ -38,10 +42,14 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _SECOND = 0xD1B54A32D192ED03
 _TO_UNIT = 2.0 ** -53
-# Box-Muller pairs per block.  A power of two, so that every block but the
-# last is a whole number of SIMD vectors and each element meets the same
-# ufunc loop path as in one call over the whole array.
+# Box-Muller pairs per block: a multiple of _GAUSSIAN_BLOCK, so that every
+# block but the last is a whole number of SIMD vectors and np.log meets each
+# element on the same loop path as in one call over the whole array.  Large
+# draws take blocks of up to _GAUSSIAN_BLOCK_MAX pairs: the kernel makes
+# about 50 numpy calls a block, and trial threads serialise on the
+# interpreter lock between them.
 _GAUSSIAN_BLOCK = 1 << 13
+_GAUSSIAN_BLOCK_MAX = 1 << 15
 
 
 def _mix64_int(value: int) -> int:
@@ -52,22 +60,95 @@ def _mix64_int(value: int) -> int:
     return value ^ (value >> 31)
 
 
+_U11 = np.uint64(11)
 _U30 = np.uint64(30)
 _U27 = np.uint64(27)
 _U31 = np.uint64(31)
+_U51 = np.uint64(51)
+_U62 = np.uint64(62)
 _UM1 = np.uint64(0xBF58476D1CE4E5B9)
 _UM2 = np.uint64(0x94D049BB133111EB)
 _UGOLDEN = np.uint64(_GOLDEN)
 
 
-def _mix64_inplace(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer applied in place to a uint64 array."""
-    z ^= z >> _U30
-    z *= _UM1
-    z ^= z >> _U27
-    z *= _UM2
-    z ^= z >> _U31
+def _mix64_inplace(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer applied in place to a uint64 array; ``scratch``
+    is a uint64 array of the same shape that is overwritten."""
+    for shift, mult in ((_U30, _UM1), (_U27, _UM2)):
+        np.right_shift(z, shift, out=scratch)
+        z ^= scratch
+        z *= mult
+    np.right_shift(z, _U31, out=scratch)
+    z ^= scratch
     return z
+
+
+# Angle words k are 53-bit turns t = k·2⁻⁵³; a quarter turn is 2⁵¹ words.
+_UHALF_QUARTER = np.uint64(1 << 50)
+_ANGLE_STEP = 2.0 * math.pi * _TO_UNIT  # radians per angle word
+# Horner coefficients of fdlibm's __kernel_cos (row 0: C1..C6) and
+# __kernel_sin (row 1: S1..S6), as (2, 1) columns for the stacked rows.
+_KERNEL_POLY = np.array([
+    [4.16666666666666019037e-02, -1.38888888888741095749e-03,
+     2.48015872894767294178e-05, -2.75573143513906633035e-07,
+     2.08757232129817482790e-09, -1.13596475577881948265e-11],
+    [-1.66666666666666324348e-01, 8.33333333332248946124e-03,
+     -1.98412698298579493134e-04, 2.75573137070700676789e-06,
+     -2.50507602534068634195e-08, 1.58969099521155010221e-10],
+]).T[:, :, None]
+# Added to the quarter index q to give [q + 1, q]: bit 1 of each is the
+# sign of cos and of sin in quadrant q.
+_QUADRANT_SIGN = np.array([[1], [0]], dtype=np.uint64)
+
+
+def _cos_sin_turns(words: np.ndarray, quarter: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """cos and sin of 2π·k·2⁻⁵³ for the 53-bit angle words k in ``words[1]``.
+
+    Writes cos to ``out[0]`` and sin to ``out[1]``, both (n,) float64, and
+    returns ``out``.  ``words`` is a (2, n) uint64 array and ``quarter`` an
+    (n,) uint64 array; both are overwritten.
+
+    The reduction is exact integer work: the nearest quarter turn is
+    q = (k + 2⁵⁰) >> 51 and the remainder r = k - q·2⁵¹, so the reduced
+    angle x = r·(2π·2⁻⁵³) has |x| <= π/4 and rounds once.  fdlibm's kernel
+    polynomials in z = x² give cos x and sin x; the quadrant swaps them
+    where q is odd and sets sign bits.  Only IEEE-exact integer operations
+    and float adds and multiplies are used, so the result does not depend
+    on the platform's libm, and the absolute error is about 1.6e-16.
+    """
+    scratch, angle = words
+    np.add(angle, _UHALF_QUARTER, out=quarter)
+    quarter >>= _U51
+    np.left_shift(quarter, _U51, out=scratch)
+    angle -= scratch  # r = k - q·2⁵¹ in two's complement
+    x = angle.view(np.float64)
+    np.multiply(angle.view(np.int64), _ANGLE_STEP, out=x)
+    z = scratch.view(np.float64)
+    np.multiply(x, x, out=z)
+    np.multiply(_KERNEL_POLY[5], z, out=out)
+    for coefficient in _KERNEL_POLY[4::-1]:
+        out += coefficient
+        out *= z
+    cos, sin = out
+    sin *= x
+    sin += x
+    cos *= z
+    z *= 0.5
+    cos -= z
+    cos += 1.0
+    # Quadrant: swap the rows where q is odd, then flip sign bits.
+    bits = out.view(np.uint64)
+    odd, swap = words
+    np.bitwise_and(quarter, np.uint64(1), out=odd)
+    np.negative(odd, out=odd)
+    np.bitwise_xor(bits[0], bits[1], out=swap)
+    swap &= odd
+    bits ^= swap
+    np.add(quarter, _QUADRANT_SIGN, out=words)
+    words &= np.uint64(2)
+    words <<= _U62
+    bits ^= words
+    return out
 
 
 class SeededRng:
@@ -85,19 +166,21 @@ class SeededRng:
     def __init__(self, master_seed: int, stream_id: int = 0):
         self.master_seed = master_seed & _MASK64
         self.stream_id = stream_id & _MASK64
-        self._key = np.uint64(
-            _mix64_int(
-                _mix64_int(self.master_seed + _GOLDEN) ^ _mix64_int(self.stream_id + _SECOND)
-            )
+        self._key = _mix64_int(
+            _mix64_int(self.master_seed + _GOLDEN) ^ _mix64_int(self.stream_id + _SECOND)
         )
         self._counter = 0
 
+    def _offset(self, position: int) -> int:
+        """Pre-mix word at stream position ``position + i + 1``, less i·golden."""
+        return (self._key + position * _GOLDEN) & _MASK64
+
     def _words(self, position: int, count: int) -> np.ndarray:
         """Raw words at stream positions position+1 .. position+count."""
-        z = np.arange(1 + position, 1 + position + count, dtype=np.uint64)
+        z = np.arange(1, 1 + count, dtype=np.uint64)
         z *= _UGOLDEN
-        z += self._key
-        return _mix64_inplace(z)
+        z += np.uint64(self._offset(position))
+        return _mix64_inplace(z, np.empty_like(z))
 
     def uniform64(self, count: int) -> np.ndarray:
         """Next ``count`` raw 64-bit words as a uint64 array."""
@@ -134,8 +217,13 @@ class SeededRng:
 
         Each uniform pair yields two variates (cosine block first, then
         the sine block); an odd ``count`` discards the final sine variate.
-        The pairs are computed ``_GAUSSIAN_BLOCK`` at a time, so the
-        temporaries stay in cache and the output is the only large array.
+        The radius is sqrt(-2 log u) with numpy's log; the angle's cosine
+        and sine come from :func:`_cos_sin_turns`, not from libm.  The
+        pairs are computed in blocks of ``_GAUSSIAN_BLOCK`` to
+        ``_GAUSSIAN_BLOCK_MAX`` pairs, in five block-sized rows of reused
+        buffers; the radius and the quarter-turn index are kept in the
+        output's cosine and sine blocks.  So the work stays in cache and
+        the output is the only large array.
         """
         if count < 0:
             raise ValueError("count must be nonnegative")
@@ -145,26 +233,32 @@ class SeededRng:
         start = self._counter
         self._counter += 2 * pairs
         out = np.empty(2 * pairs)
-        for first in range(0, pairs, _GAUSSIAN_BLOCK):
-            n = min(_GAUSSIAN_BLOCK, pairs - first)
-            bits = self._words(start + first, n)
-            bits >>= np.uint64(11)
-            radius = bits.astype(np.float64)
-            radius += 1.0
-            radius *= _TO_UNIT  # (0, 1]: log never sees zero
+        # At most a sixteenth of the draw, so the five block-sized buffer
+        # rows stay below a sixth of the output.
+        block = min(_GAUSSIAN_BLOCK_MAX, pairs // 16) // _GAUSSIAN_BLOCK * _GAUSSIAN_BLOCK
+        block = min(pairs, max(block, _GAUSSIAN_BLOCK))
+        steps = np.arange(1, 1 + block, dtype=np.uint64)
+        steps *= _UGOLDEN
+        offsets = np.empty((2, 1), dtype=np.uint64)
+        words = np.empty((2, block), dtype=np.uint64)  # radius row, angle row
+        cos_sin = np.empty((2, block))
+        for first in range(0, pairs, block):
+            n = min(block, pairs - first)
+            offsets[:, 0] = self._offset(start + first), self._offset(start + pairs + first)
+            w = words[:, :n]
+            np.add(steps[:n], offsets, out=w)
+            _mix64_inplace(w, cos_sin[:, :n].view(np.uint64))
+            w >>= _U11
+            w[0] += np.uint64(1)
+            radius = out[first:first + n]
+            np.multiply(w[0], _TO_UNIT, out=radius)  # (0, 1]: log never sees zero
             np.log(radius, out=radius)
             radius *= -2.0
             np.sqrt(radius, out=radius)
-            bits = self._words(start + pairs + first, n)
-            bits >>= np.uint64(11)
-            angle = bits.astype(np.float64)
-            angle *= _TO_UNIT * (2.0 * math.pi)
-            cos_part = out[first:first + n]
             sin_part = out[pairs + first:pairs + first + n]
-            np.cos(angle, out=cos_part)
-            np.sin(angle, out=sin_part)
-            cos_part *= radius
-            sin_part *= radius
+            cos, sin = _cos_sin_turns(w, sin_part.view(np.uint64), cos_sin[:, :n])
+            np.multiply(sin, radius, out=sin_part)
+            radius *= cos
         return out[:count]
 
 

@@ -1,6 +1,10 @@
 """Tests for the linear algebra kernel and the seeded random streams."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,28 +20,56 @@ from reprogram_lab.numerics import (
 )
 
 
+# fdlibm's __kernel_cos (C1..C6) and __kernel_sin (S1..S6) coefficients.
+FDLIBM_COS = [
+    4.16666666666666019037e-02, -1.38888888888741095749e-03, 2.48015872894767294178e-05,
+    -2.75573143513906633035e-07, 2.08757232129817482790e-09, -1.13596475577881948265e-11,
+]
+FDLIBM_SIN = [
+    -1.66666666666666324348e-01, 8.33333333332248946124e-03, -1.98412698298579493134e-04,
+    2.75573137070700676789e-06, -2.50507602534068634195e-08, 1.58969099521155010221e-10,
+]
+
+
+def reference_cos_sin(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of 2π·k·2⁻⁵³ by the sampler's arithmetic, written out
+    with temporaries, np.where and negation."""
+    q = (k + np.uint64(2**50)) >> np.uint64(51)
+    x = (k - (q << np.uint64(51))).view(np.int64) * (2.0 * math.pi * 2.0**-53)
+    z = x * x
+    h_cos = FDLIBM_COS[5] * z
+    h_sin = FDLIBM_SIN[5] * z
+    for j in range(4, -1, -1):
+        h_cos = (h_cos + FDLIBM_COS[j]) * z
+        h_sin = (h_sin + FDLIBM_SIN[j]) * z
+    sin = h_sin * x + x
+    cos = h_cos * z - 0.5 * z + 1.0
+    odd = (q & np.uint64(1)) == 1
+    cos, sin = np.where(odd, sin, cos), np.where(odd, cos, sin)
+    cos = np.where(((q + np.uint64(1)) & np.uint64(2)) != 0, -cos, cos)
+    sin = np.where((q & np.uint64(2)) != 0, -sin, sin)
+    return cos, sin
+
+
 def one_shot_gaussian(rng: SeededRng, count: int) -> np.ndarray:
     """Box-Muller over the whole draw at once: the reference for the blocked one."""
     if count == 0:
         return np.empty(0)
     pairs = (count + 1) // 2
-    bits = rng.uniform64(2 * pairs)
-    bits >>= np.uint64(11)
-    flt = bits.astype(np.float64)
-    u1 = flt[:pairs]
-    u1 += 1.0
-    u1 *= 2.0**-53
-    angle = flt[pairs:]
-    angle *= 2.0**-53 * (2.0 * math.pi)
-    np.log(u1, out=u1)
-    u1 *= -2.0
-    radius = np.sqrt(u1, out=u1)
-    out = np.empty(2 * pairs)
-    np.cos(angle, out=out[:pairs])
-    np.sin(angle, out=out[pairs:])
-    out[:pairs] *= radius
-    out[pairs:] *= radius
-    return out[:count]
+    bits = rng.uniform64(2 * pairs) >> np.uint64(11)
+    radius = np.sqrt(-2.0 * np.log((bits[:pairs] + 1.0) * 2.0**-53))
+    cos, sin = reference_cos_sin(bits[pairs:])
+    return np.concatenate([cos * radius, sin * radius])[:count]
+
+
+def libm_gaussian(rng: SeededRng, count: int) -> np.ndarray:
+    """Box-Muller with np.cos and np.sin of the rounded angle 2π·t, as the
+    sampler computed it before its angle kernel."""
+    pairs = (count + 1) // 2
+    bits = rng.uniform64(2 * pairs) >> np.uint64(11)
+    radius = np.sqrt(-2.0 * np.log((bits[:pairs] + 1.0) * 2.0**-53))
+    angle = bits[pairs:] * (2.0**-53 * (2.0 * math.pi))
+    return np.concatenate([np.cos(angle) * radius, np.sin(angle) * radius])[:count]
 
 
 _B = numerics._GAUSSIAN_BLOCK
@@ -78,15 +110,51 @@ class TestSeededRng:
         assert abs(g.mean()) < 3.0 / math.sqrt(200_000)
         assert abs(g.var() - 1.0) < 3.0 * math.sqrt(2.0 / 200_000)
 
+    # 64 * _B + 1 and 96 * _B + 2 normals take blocks of 2 * _B and 3 * _B;
+    # 4096 * 256 normals take blocks of numerics._GAUSSIAN_BLOCK_MAX.
     @pytest.mark.parametrize("count", [
         0, 1, 2, 3, 2 * _B - 1, 2 * _B, 2 * _B + 1, 4 * _B + 3,
-        41 * 256, 102 * 1024, 4096 * 256, 4096 * 256 + 1,
+        41 * 256, 102 * 1024, 64 * _B + 1, 96 * _B + 2, 4096 * 256, 4096 * 256 + 1,
     ])
     def test_blocked_gaussian_matches_one_shot_reference(self, count):
         blocked, reference = SeededRng(97531, 11), SeededRng(97531, 11)
         assert blocked.gaussian(count).tobytes() == one_shot_gaussian(reference, count).tobytes()
         assert blocked._counter == reference._counter
         assert np.array_equal(blocked.signs(5), reference.signs(5))
+
+    def test_gaussian_close_to_the_libm_formula(self):
+        count = 4096 * 256 + 1
+        new, old = SeededRng(97531, 11), SeededRng(97531, 11)
+        assert np.max(np.abs(new.gaussian(count) - libm_gaussian(old, count))) <= 4e-15
+        assert new._counter == old._counter
+
+    def test_angle_kernel_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        quarter, octant = 2**51, 2**50
+        special = [0, 1, 2**53 - 1]
+        special += [q * quarter + e for q in (1, 2, 3) for e in (-1, 0, 1)]
+        special += [(2 * j + 1) * octant + e for j in range(4) for e in (-1, 0)]
+        grid = [(2**53 - 1) * i // 1999 for i in range(2000)]
+        k = np.array(special + grid, dtype=np.uint64)
+        words = np.zeros((2, k.size), dtype=np.uint64)
+        words[1] = k
+        cos, sin = numerics._cos_sin_turns(words, np.empty(k.size, np.uint64), np.empty((2, k.size)))
+        with mpmath.workdps(40):
+            turn = 2 * mpmath.pi / mpmath.mpf(2) ** 53
+            cos_err = max(abs(mpmath.cos(int(ki) * turn) - float(c)) for ki, c in zip(k, cos))
+            sin_err = max(abs(mpmath.sin(int(ki) * turn) - float(s)) for ki, s in zip(k, sin))
+        assert cos_err <= 2.5e-16
+        assert sin_err <= 2.5e-16
+
+    def test_package_does_not_import_numpy_random(self):
+        # numpy.random adds about 6 MB to a fresh interpreter's peak RSS.
+        code = "import sys, reprogram_lab.cli, reprogram_lab.verify; print('numpy.random' in sys.modules)"
+        src = str(Path(numerics.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
+        )
+        assert result.stdout.strip() == "False"
 
     @pytest.mark.parametrize("count", [-1, -3])
     def test_negative_gaussian_count_rejected_without_drawing(self, count):
