@@ -3,7 +3,7 @@ programs, gradient-flow training, and the Monte-Carlo suites that verify
 their claimed behaviour at desk scale."""
 
 from .data_models import BernoulliModel, LabeledDataset
-from .gradient_flow import TrainerConfig, TrajectoryReport, WeightVector
+from .gradient_flow import TrajectoryReport
 from .maxmargin import MarginSolution
 from .network import TwoLayerNet
 from .numerics import SeededRng
@@ -19,9 +19,7 @@ __all__ = [
     "SeededRng",
     "SuiteVerdict",
     "Theorem1Config",
-    "TrainerConfig",
     "TrajectoryReport",
     "TwoLayerNet",
-    "WeightVector",
 ]
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ import numpy as np
 
 from .data_models import BernoulliModel, generate_orthosep, random_hypercube_direction
 from .errors import ConfigError, ReprogramLabError
-from .gradient_flow import TrainerConfig, balanced_live_init, train, trajectory_to_csv
+from .gradient_flow import balanced_live_init, train, trajectory_to_csv
 from .network import network_to_text, random_init
 from .numerics import SeededRng
 from .reprogram import (
@@ -153,14 +153,12 @@ def _train_flow(values: dict, write) -> None:
     seed = values["seed"]
     dataset = generate_orthosep(values["d"], values["n_pos"], values["n_neg"], SeededRng(seed, 0))
     theta0 = balanced_live_init(dataset, values["k"], values["init_scale"], SeededRng(seed, 1))
-    cfg = TrainerConfig(
-        loss_kind=values["loss_kind"], step_size=values["step_size"],
-        max_steps=values["max_steps"], stop_loss=values["stop_loss"],
-        record_every=values["record_every"],
+    report = train(
+        theta0, dataset, values["loss_kind"], values["step_size"], values["max_steps"],
+        stop_loss=values["stop_loss"], record_every=values["record_every"],
     )
-    report = train(theta0, dataset, cfg)
     write("trajectory.csv", trajectory_to_csv(report))
-    write("final_weights.txt", network_to_text(report.final_theta.to_network()))
+    write("final_weights.txt", network_to_text(report.final_theta))
     crossed = report.crossed_margin_loss_at
     write("summary.txt", (
         f"steps_run = {report.steps_run}\n"

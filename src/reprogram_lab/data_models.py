@@ -179,29 +179,3 @@ def generate_orthosep(
         f"no orthogonally separable dataset found in {_GENERATION_RETRIES} attempts"
     )
 
-
-def dataset_to_text(dataset: LabeledDataset) -> str:
-    """Serialise: header ``n d``, then n lines of ``y x_1 ... x_d``."""
-    lines = [f"{dataset.n} {dataset.d}"]
-    for y, row in zip(dataset.labels, dataset.points):
-        lines.append(f"{int(y)} " + " ".join(format(v, ".17g") for v in row))
-    return "\n".join(lines) + "\n"
-
-
-def dataset_from_text(text: str) -> LabeledDataset:
-    """Parse the format written by :func:`dataset_to_text`."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty dataset record")
-    n, d = (int(v) for v in lines[0].split())
-    if len(lines) != n + 1:
-        raise ValueError(f"expected {n} data lines, found {len(lines) - 1}")
-    labels = np.empty(n)
-    points = np.empty((n, d))
-    for i, line in enumerate(lines[1:]):
-        parts = line.split()
-        if len(parts) != d + 1:
-            raise ValueError(f"line {i + 2} has {len(parts)} fields, expected {d + 1}")
-        labels[i] = float(parts[0])
-        points[i] = [float(v) for v in parts[1:]]
-    return LabeledDataset(points=points, labels=labels)

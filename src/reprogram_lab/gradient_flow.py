@@ -41,57 +41,6 @@ SURVIVAL_FRACTION = 1e-6
 
 
 @dataclass
-class WeightVector:
-    """All trainable weights: hidden rows (k, d) and output weights (k,)."""
-
-    weights: np.ndarray
-    outputs: np.ndarray
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.outputs = np.asarray(self.outputs, dtype=np.float64)
-        if self.weights.ndim != 2 or self.outputs.shape != (self.weights.shape[0],):
-            raise ValueError("weights must be (k, d) with outputs of length k")
-
-    def copy(self) -> "WeightVector":
-        return WeightVector(self.weights.copy(), self.outputs.copy())
-
-    def norm(self) -> float:
-        """Euclidean norm of the full flattened weight vector."""
-        return math.sqrt(
-            float(np.sum(self.weights * self.weights) + np.sum(self.outputs * self.outputs))
-        )
-
-    def to_network(self) -> TwoLayerNet:
-        return TwoLayerNet(weights=self.weights.copy(), outputs=self.outputs.copy())
-
-
-@dataclass(frozen=True)
-class TrainerConfig:
-    """Euler discretisation parameters.
-
-    ``step_size`` plays the role of an increment of flow time per update;
-    keeping step_size at or below 1e-2 divided by the initial loss is a
-    sound default for the datasets this package generates.  Training stops
-    at ``max_steps`` or once the loss is at or below ``stop_loss``.
-    """
-
-    loss_kind: str
-    step_size: float
-    max_steps: int
-    stop_loss: float = 0.0
-    record_every: int = 100
-
-    def __post_init__(self):
-        if self.loss_kind not in LOSS_KINDS:
-            raise ValueError(f"loss_kind must be one of {LOSS_KINDS}")
-        if self.step_size <= 0.0:
-            raise ValueError("step_size must be positive")
-        if self.max_steps < 0 or self.record_every < 1:
-            raise ValueError("max_steps must be >= 0 and record_every >= 1")
-
-
-@dataclass
 class TrajectoryReport:
     """Summary of one training run.
 
@@ -108,7 +57,7 @@ class TrajectoryReport:
     sign_flip_detected: bool = False
     crossed_margin_loss_at: int | None = None
     steps_run: int = 0
-    final_theta: WeightVector | None = None
+    final_theta: TwoLayerNet | None = None
     final_loss: float = math.nan
 
 
@@ -137,18 +86,19 @@ def loss_value_and_derivative(kind: str, u):
     return value, slope
 
 
-def margin_zero_loss(kind: str) -> float:
-    """Loss of one sample at margin zero: 1 for exponential, ln 2 for logistic."""
-    if kind == "exponential":
-        return 1.0
-    if kind == "logistic":
-        return math.log(2.0)
-    raise ValueError(f"loss kind must be one of {LOSS_KINDS}")
+def _check_trainer(kind: str, step_size: float, max_steps: int) -> None:
+    """Argument checks shared by the two Euler trainers."""
+    if kind not in LOSS_KINDS:
+        raise ValueError(f"loss kind must be one of {LOSS_KINDS}")
+    if step_size <= 0.0:
+        raise ValueError("step_size must be positive")
+    if max_steps < 0:
+        raise ValueError("max_steps must be >= 0")
 
 
 def balanced_live_init(
     dataset: LabeledDataset, k: int, scale: float, rng: SeededRng
-) -> WeightVector:
+) -> TwoLayerNet:
     """Balanced and live random initialisation.
 
     Every hidden row gets norm exactly ``scale`` (a random direction) and
@@ -180,25 +130,41 @@ def balanced_live_init(
                 live = False
                 break
         if live:
-            return WeightVector(weights=w, outputs=a)
+            return TwoLayerNet(weights=w, outputs=a)
     raise LivenessExhausted(f"no live initialisation found in {_INIT_RETRIES} draws")
 
 
-def train(theta0: WeightVector, dataset: LabeledDataset, cfg: TrainerConfig) -> TrajectoryReport:
-    """Full-batch Euler subgradient descent from theta0.
+def train(
+    theta0: TwoLayerNet,
+    dataset: LabeledDataset,
+    kind: str,
+    step_size: float,
+    max_steps: int,
+    stop_loss: float = 0.0,
+    record_every: int = 100,
+) -> TrajectoryReport:
+    """Full-batch Euler subgradient descent from theta0 under loss ``kind``.
 
-    The update direction selects 0 from the ReLU subdifferential at exact
-    kinks, making it independent of measure-zero activation boundaries.
-    Raises :class:`NonFiniteLoss` if the loss leaves the finite range
-    (step size too large).  theta0 is not modified.
+    ``step_size`` plays the role of an increment of flow time per update;
+    keeping it at or below 1e-2 divided by the initial loss is a sound
+    default for the datasets this package generates.  Training stops at
+    ``max_steps`` or once the loss is at or below ``stop_loss``; the
+    curves are sampled every ``record_every`` steps.  The update
+    direction selects 0 from the ReLU subdifferential at exact kinks,
+    making it independent of measure-zero activation boundaries.  Raises
+    :class:`NonFiniteLoss` if the loss or the weights leave the finite
+    range (step size too large).  theta0 is not modified.
     """
+    _check_trainer(kind, step_size, max_steps)
+    if record_every < 1:
+        raise ValueError("record_every must be >= 1")
+    if theta0.d != dataset.d:
+        raise ValueError("weight dimension does not match the dataset")
     w = theta0.weights.copy()
     a = theta0.outputs.copy()
     xs = dataset.points
     ys = dataset.labels
-    if w.shape[1] != dataset.d:
-        raise ValueError("weight dimension does not match the dataset")
-    ell0 = margin_zero_loss(cfg.loss_kind)
+    ell0 = loss_value_and_derivative(kind, 0.0)[0]
     sign0 = np.sign(a)
     report = TrajectoryReport()
 
@@ -212,34 +178,36 @@ def train(theta0: WeightVector, dataset: LabeledDataset, cfg: TrainerConfig) -> 
     step = 0
     while True:
         active, hidden, margins = forward_pass(xs, ys, w, a)
-        values, slopes = loss_value_and_derivative(cfg.loss_kind, margins)
+        values, slopes = loss_value_and_derivative(kind, margins)
         loss = float(np.sum(values))
         if not math.isfinite(loss):
             raise NonFiniteLoss(f"loss became non-finite at step {step}")
         if report.crossed_margin_loss_at is None and loss < ell0:
             report.crossed_margin_loss_at = step
-        done = step >= cfg.max_steps or loss <= cfg.stop_loss
-        if step % cfg.record_every == 0 or done:
+        done = step >= max_steps or loss <= stop_loss
+        if step % record_every == 0 or done:
             record(step, loss, margins)
         if done:
             break
         grad_w, grad_a = backward_pass(xs, a, active, hidden, slopes * ys)
-        grad_w *= cfg.step_size
-        grad_a *= cfg.step_size
+        grad_w *= step_size
+        grad_a *= step_size
         w -= grad_w
         a -= grad_a
         if not report.sign_flip_detected and np.any(np.sign(a) != sign0):
             report.sign_flip_detected = True
         step += 1
 
+    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(a))):
+        raise NonFiniteLoss(f"weights became non-finite by step {step}")
     report.steps_run = step
-    report.final_theta = WeightVector(weights=w, outputs=a)
+    report.final_theta = TwoLayerNet(weights=w, outputs=a)
     report.final_loss = report.loss_curve[-1]
     return report
 
 
 def train_to_crossing(
-    thetas: list[WeightVector],
+    thetas: list[TwoLayerNet],
     datasets: list[LabeledDataset],
     kind: str,
     step_size: float,
@@ -256,17 +224,14 @@ def train_to_crossing(
     stopped just below the margin-zero loss.  Raises
     :class:`NonFiniteLoss` if any run's loss leaves the finite range.
     """
-    if step_size <= 0.0:
-        raise ValueError("step_size must be positive")
-    if max_steps < 0:
-        raise ValueError("max_steps must be >= 0")
+    _check_trainer(kind, step_size, max_steps)
     if not thetas:
         return [], np.empty(0)
     xs = np.stack([data.points for data in datasets])
     ys = np.stack([data.labels for data in datasets])
     w = np.stack([theta.weights for theta in thetas])
     a = np.stack([theta.outputs for theta in thetas])
-    ell0 = margin_zero_loss(kind)
+    ell0 = loss_value_and_derivative(kind, 0.0)[0]
     runs = np.arange(len(thetas))  # original index of each batch row
     crossed_at: list[int | None] = [None] * len(thetas)
     min_margins = np.empty(len(thetas))
@@ -330,13 +295,13 @@ def _log_loss(w, a, xs, ys, kind) -> float:
 
 
 def train_to_directional_limit(
-    theta0: WeightVector,
+    theta0: TwoLayerNet,
     dataset: LabeledDataset,
     kind: str,
     target_loss: float,
     budget_steps: int,
     s_budget: float = 2000.0,
-) -> tuple[WeightVector, int, float, float, int]:
+) -> tuple[TwoLayerNet, int, float, float, int]:
     """Drive training to the directional limit of the flow.
 
     Phase one runs chunks of plain fixed-step Euler descent, with the
@@ -370,26 +335,20 @@ def train_to_directional_limit(
         raise ValueError("budget_steps must be >= 0")
     xs, ys = dataset.points, dataset.labels
     max_x2 = float(np.max(np.sum(xs * xs, axis=1)))
-    theta = theta0.copy()
+    theta = theta0
     start_log_norm = math.log(theta.norm())
     used = 0
     damping = 1.0
     margins = forward_pass(xs, ys, theta.weights, theta.outputs)[2]
     loss = float(np.sum(loss_value_and_derivative(kind, margins)[0]))
     while used < budget_steps and loss > target_loss:
-        scale2 = float(
-            np.max(np.sum(theta.weights**2, axis=1) + theta.outputs**2)
-        )
+        scale2 = float(np.max(np.sum(theta.weights**2, axis=1) + theta.outputs**2))
         step = damping * 0.5 / (loss * (1.0 + scale2 * max_x2))
-        cfg = TrainerConfig(
-            loss_kind=kind,
-            step_size=step,
-            max_steps=min(DIRECTIONAL_CHUNK, budget_steps - used),
-            stop_loss=target_loss,
-            record_every=DIRECTIONAL_CHUNK,
-        )
         try:
-            report = train(theta, dataset, cfg)
+            report = train(
+                theta, dataset, kind, step, min(DIRECTIONAL_CHUNK, budget_steps - used),
+                stop_loss=target_loss, record_every=DIRECTIONAL_CHUNK,
+            )
         except NonFiniteLoss:
             damping *= 0.5
             continue
@@ -440,7 +399,7 @@ def train_to_directional_limit(
                 break
         visited = np.vstack([visited, direction])
 
-    final = WeightVector(w, a)
+    final = TwoLayerNet(w, a)
     log_growth = math.log(final.norm()) + rescale_log - start_log_norm
     return final, used, log_loss, log_growth, period
 
@@ -476,7 +435,7 @@ class ConvergenceReport:
 
 
 def convergence_report(
-    theta: WeightVector,
+    theta: TwoLayerNet,
     v_pos: np.ndarray,
     v_neg: np.ndarray,
 ) -> ConvergenceReport:

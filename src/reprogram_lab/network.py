@@ -2,8 +2,9 @@
 serialisation.
 
 A network maps an input x in R^d to sum_j outputs[j] * max(weights[j] . x, 0).
-There are no biases in either layer.  Instances are immutable and safe to
-share across threads.
+There are no biases in either layer.  One type holds both the random
+networks and the weights the trainers return.  Instances are immutable
+and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -47,6 +48,12 @@ class TwoLayerNet:
     @property
     def k(self) -> int:
         return self.weights.shape[0]
+
+    def norm(self) -> float:
+        """Euclidean norm of all weights, hidden rows and outputs together."""
+        return math.sqrt(
+            float(np.sum(self.weights * self.weights) + np.sum(self.outputs * self.outputs))
+        )
 
 
 def random_init(d: int, k: int, rng: SeededRng) -> TwoLayerNet:
@@ -121,22 +128,3 @@ def network_to_text(net: TwoLayerNet) -> str:
     lines.append(" ".join(format(v, ".17g") for v in net.outputs))
     return "\n".join(lines) + "\n"
 
-
-def network_from_text(text: str) -> TwoLayerNet:
-    """Parse the format written by :func:`network_to_text`."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty network record")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError("header must be 'd k'")
-    d, k = int(head[0]), int(head[1])
-    if len(lines) != 1 + k + 1:
-        raise ValueError(f"expected {k + 1} weight lines, found {len(lines) - 1}")
-    w = np.array([[float(v) for v in lines[1 + j].split()] for j in range(k)])
-    if w.shape != (k, d):
-        raise ValueError("hidden-weight block has the wrong shape")
-    a = np.array([float(v) for v in lines[1 + k].split()])
-    if a.shape != (k,):
-        raise ValueError("output-weight line has the wrong length")
-    return TwoLayerNet(weights=w, outputs=a)

@@ -341,6 +341,12 @@ def image_from_ppm(data: bytes) -> ProgramImage:
     w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
     if maxval != 255:
         raise ValueError("only maxval 255 is supported")
-    raw = np.frombuffer(data, dtype=np.uint8, count=h * w * 3, offset=pos)
+    for name, value in (("width", w), ("height", h)):
+        if value < 1:
+            raise ValueError(f"PPM {name} must be at least 1, got {value}")
+    size = h * w * 3
+    if len(data) - pos < size:
+        raise ValueError(f"PPM raster has {max(len(data) - pos, 0)} bytes, expected {size}")
+    raw = np.frombuffer(data, dtype=np.uint8, count=size, offset=pos)
     pixels = raw.astype(np.float64).reshape(h, w, 3) * (2.0 / 255.0) - 1.0
     return ProgramImage(pixels=pixels)

@@ -635,10 +635,9 @@ def proposition_suite(
     theta0 = balanced_live_init(
         data, k, PROPOSITION_INIT_SCALE, SeededRng(seed, _BASE_PROPOSITION + 1)
     )
-    theta, steps_used, log_loss, _, _ = train_to_directional_limit(
+    net, steps_used, log_loss, _, _ = train_to_directional_limit(
         theta0, data, loss_kind, target_loss, budget_steps, s_budget=PROPOSITION_S_BUDGET
     )
-    net = theta.to_network()
     v_pos = max_margin_vector(data.points[data.labels > 0]).vector
     v_neg = max_margin_vector(data.points[data.labels < 0]).vector
     delta = v_pos - v_neg

@@ -2,6 +2,7 @@
 codes, file layout, and byte-level determinism of outputs."""
 
 import functools
+import inspect
 
 import numpy as np
 import pytest
@@ -242,6 +243,23 @@ class TestSuiteWiring:
             if not line.startswith("runtime_seconds")
         ]
         assert written == expected
+
+    @pytest.mark.parametrize("command,suite", [
+        ("verify-corollary2", verify.corollary2_suite),
+        ("verify-proposition", verify.proposition_suite),
+        ("verify-appendix-a", verify.appendix_a_suite),
+    ], ids=["corollary2", "proposition", "appendix-a"])
+    def test_schema_defaults_are_the_suite_defaults(self, command, suite):
+        # these commands pass every key to the suite by name, so each
+        # default is written twice: in the schema and in the signature
+        schema = cli._COMMANDS[command][0]
+        params = inspect.signature(suite).parameters
+        keys = set(schema) - set(cli._COMMON)
+        assert keys and keys <= set(params)
+        for key in sorted(keys):
+            default = schema[key][1]
+            assert default == params[key].default, key
+            assert type(default) is type(params[key].default), key
 
 
 class TestOutputs:

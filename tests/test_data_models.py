@@ -9,8 +9,6 @@ from reprogram_lab.data_models import (
     BernoulliModel,
     LabeledDataset,
     check_orthosep,
-    dataset_from_text,
-    dataset_to_text,
     generate_orthosep,
     random_hypercube_direction,
     sample_bernoulli,
@@ -144,18 +142,3 @@ class TestGenerateOrthosep:
         with pytest.raises(ValueError):
             generate_orthosep(1, 1, 1, SeededRng(12, 0))
 
-
-class TestDatasetSerialisation:
-    def test_round_trip_is_exact(self):
-        data = generate_orthosep(4, 3, 2, SeededRng(13, 0))
-        parsed = dataset_from_text(dataset_to_text(data))
-        assert np.array_equal(parsed.points, data.points)
-        assert np.array_equal(parsed.labels, data.labels)
-
-    def test_header(self):
-        text = dataset_to_text(FOUR_POINTS)
-        assert text.splitlines()[0] == "4 2"
-
-    def test_malformed_rejected(self):
-        with pytest.raises(ValueError):
-            dataset_from_text("2 2\n1 0.5 0.5\n")

@@ -9,18 +9,15 @@ import pytest
 from reprogram_lab.data_models import LabeledDataset, generate_orthosep
 from reprogram_lab.errors import NonFiniteLoss
 from reprogram_lab.gradient_flow import (
-    TrainerConfig,
-    WeightVector,
     balanced_live_init,
     convergence_report,
     loss_value_and_derivative,
-    margin_zero_loss,
     train,
     train_to_crossing,
     trajectory_to_csv,
 )
 from reprogram_lab.maxmargin import max_margin_vector
-from reprogram_lab.network import forward
+from reprogram_lab.network import TwoLayerNet, forward
 from reprogram_lab.numerics import SeededRng
 
 FOUR_POINTS = LabeledDataset(
@@ -34,8 +31,9 @@ class TestLossFunctions:
         assert loss_value_and_derivative("exponential", 0.0) == (1.0, -1.0)
 
     def test_logistic_at_zero(self):
+        # l(0) is the trainers' crossing threshold, so it must be ln 2 exactly
         value, slope = loss_value_and_derivative("logistic", 0.0)
-        assert value == pytest.approx(math.log(2.0), abs=1e-15)
+        assert value == math.log(2.0)
         assert slope == -0.5
 
     @pytest.mark.parametrize("kind", ["exponential", "logistic"])
@@ -51,8 +49,9 @@ class TestLossFunctions:
         assert values[1] == 0.0 and slopes[1] == 0.0
 
     def test_margin_zero_loss_values(self):
-        assert margin_zero_loss("exponential") == 1.0
-        assert margin_zero_loss("logistic") == pytest.approx(math.log(2.0))
+        # l(0) at a zero margin is the trainers' crossing threshold
+        assert loss_value_and_derivative("exponential", 0.0)[0] == 1.0
+        assert loss_value_and_derivative("logistic", 0.0)[0] == math.log(2.0)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -110,8 +109,7 @@ class TestBalancedLiveInit:
 class TestTrain:
     def test_zero_steps_echoes_initial_state(self):
         theta0 = balanced_live_init(FOUR_POINTS, k=4, scale=0.5, rng=SeededRng(24, 0))
-        cfg = TrainerConfig("exponential", 1e-3, max_steps=0)
-        report = train(theta0, FOUR_POINTS, cfg)
+        report = train(theta0, FOUR_POINTS, "exponential", 1e-3, max_steps=0)
         assert report.steps_run == 0
         np.testing.assert_array_equal(report.final_theta.weights, theta0.weights)
         np.testing.assert_array_equal(report.final_theta.outputs, theta0.outputs)
@@ -120,14 +118,13 @@ class TestTrain:
     def test_input_theta_not_mutated(self):
         theta0 = balanced_live_init(FOUR_POINTS, k=4, scale=0.5, rng=SeededRng(25, 0))
         snapshot = theta0.weights.copy()
-        train(theta0, FOUR_POINTS, TrainerConfig("logistic", 1e-3, 100))
+        train(theta0, FOUR_POINTS, "logistic", 1e-3, 100)
         np.testing.assert_array_equal(theta0.weights, snapshot)
 
     @pytest.mark.parametrize("kind", ["exponential", "logistic"])
     def test_loss_nonincreasing_within_discretisation_slack(self, kind):
         theta0 = balanced_live_init(FOUR_POINTS, k=4, scale=0.5, rng=SeededRng(26, 0))
-        cfg = TrainerConfig(kind, 1e-3, max_steps=2000, record_every=1)
-        report = train(theta0, FOUR_POINTS, cfg)
+        report = train(theta0, FOUR_POINTS, kind, 1e-3, max_steps=2000, record_every=1)
         increases = np.diff(report.loss_curve)
         # per-step slack eta^2 G^2 with G << 10 on this dataset
         assert np.max(increases, initial=0.0) <= 1e-4
@@ -136,20 +133,17 @@ class TestTrain:
     def test_crossing_recorded_on_four_points(self):
         for seed in range(5):
             theta0 = balanced_live_init(FOUR_POINTS, k=4, scale=0.5, rng=SeededRng(27, seed))
-            ell0 = margin_zero_loss("exponential")
-            cfg = TrainerConfig(
-                "exponential", 1e-3, 1_000_000,
-                stop_loss=math.nextafter(ell0, 0.0), record_every=10_000,
+            report = train(
+                theta0, FOUR_POINTS, "exponential", 1e-3, 1_000_000,
+                stop_loss=math.nextafter(1.0, 0.0), record_every=10_000,
             )
-            report = train(theta0, FOUR_POINTS, cfg)
             assert report.crossed_margin_loss_at is not None
-            assert report.final_loss < ell0
+            assert report.final_loss < 1.0
             assert report.min_margin_curve[-1] > 0.0
 
     def test_balance_and_signs_preserved(self):
         theta0 = balanced_live_init(FOUR_POINTS, k=4, scale=0.5, rng=SeededRng(28, 0))
-        cfg = TrainerConfig("exponential", 1e-3, 50_000, record_every=500)
-        report = train(theta0, FOUR_POINTS, cfg)
+        report = train(theta0, FOUR_POINTS, "exponential", 1e-3, 50_000, record_every=500)
         assert not report.sign_flip_detected
         max_loss = max(report.loss_curve)
         assert max(report.balance_residual_curve) <= 10.0 * 1e-3 * max_loss
@@ -167,19 +161,26 @@ class TestTrain:
         )
         theta0 = balanced_live_init(clash, k=4, scale=0.5, rng=SeededRng(30, 0))
         with pytest.raises(NonFiniteLoss):
-            train(theta0, clash, TrainerConfig("exponential", 1e6, 10_000))
+            train(theta0, clash, "exponential", 1e6, 10_000)
+
+    def test_non_finite_weights_raise(self):
+        # one step of 1e308 sends a neuron's weights to inf while the
+        # neuron is dead on every point, so the loss stays finite (1.0)
+        rng = SeededRng(5, 27)
+        data = LabeledDataset(rng.gaussian(4).reshape(2, 2), np.array([1.0, -1.0]))
+        theta0 = TwoLayerNet(rng.gaussian(4).reshape(2, 2), rng.gaussian(2))
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteLoss, match="weights"):
+            train(theta0, data, "exponential", 1e308, 50)
 
     def test_trained_sign_is_scale_invariant(self):
         theta0 = balanced_live_init(FOUR_POINTS, k=4, scale=0.5, rng=SeededRng(31, 0))
-        report = train(theta0, FOUR_POINTS, TrainerConfig("logistic", 1e-3, 5000))
+        report = train(theta0, FOUR_POINTS, "logistic", 1e-3, 5000)
         theta = report.final_theta
         xs = SeededRng(31, 1).gaussian(20).reshape(10, 2)
         for alpha in (0.25, 3.0):
-            scaled = WeightVector(alpha * theta.weights, alpha * theta.outputs)
+            scaled = TwoLayerNet(alpha * theta.weights, alpha * theta.outputs)
             for x in xs:
-                assert np.sign(forward(scaled.to_network(), x)) == np.sign(
-                    forward(theta.to_network(), x)
-                )
+                assert np.sign(forward(scaled, x)) == np.sign(forward(theta, x))
 
 
 def reference_euler(theta, dataset, kind, step_size, steps):
@@ -204,7 +205,7 @@ def test_train_matches_reference_euler_bitwise(kind):
     for seed in range(3):
         data = generate_orthosep(3, 3, 2, SeededRng(33, seed))
         theta0 = balanced_live_init(data, k=5, scale=0.5, rng=SeededRng(34, seed))
-        report = train(theta0, data, TrainerConfig(kind, 1e-2, 500))
+        report = train(theta0, data, kind, 1e-2, 500)
         w, a = reference_euler(theta0, data, kind, 1e-2, 500)
         assert report.final_theta.weights.tobytes() == w.tobytes()
         assert report.final_theta.outputs.tobytes() == a.tobytes()
@@ -221,12 +222,11 @@ def crossing_runs(seed, count):
 
 def train_each_to_crossing(thetas, datasets, kind, step_size, max_steps):
     """The per-run reference: train stopped just below the margin-zero loss."""
-    cfg = TrainerConfig(
-        kind, step_size, max_steps,
-        stop_loss=math.nextafter(margin_zero_loss(kind), 0.0),
-        record_every=max_steps + 1,
-    )
-    reports = [train(theta, data, cfg) for theta, data in zip(thetas, datasets)]
+    stop_loss = math.nextafter(loss_value_and_derivative(kind, 0.0)[0], 0.0)
+    reports = [
+        train(theta, data, kind, step_size, max_steps, stop_loss, record_every=max_steps + 1)
+        for theta, data in zip(thetas, datasets)
+    ]
     return (
         [r.crossed_margin_loss_at for r in reports],
         np.array([r.min_margin_curve[-1] for r in reports]),
@@ -280,9 +280,9 @@ class TestTrainToCrossing:
         assert steps == [] and margins.size == 0
 
 
-def total_loss(theta, dataset, kind):
-    pre = dataset.points @ theta.weights.T
-    outputs = np.maximum(pre, 0.0) @ theta.outputs
+def total_loss(w, a, dataset, kind):
+    pre = dataset.points @ w.T
+    outputs = np.maximum(pre, 0.0) @ a
     values, _ = loss_value_and_derivative(kind, dataset.labels * outputs)
     return float(np.sum(values))
 
@@ -297,7 +297,7 @@ def count_gradient_mismatches(points, seed, rel_tol=1e-4, h=1e-6):
         attempt += 1
         rng = SeededRng(seed, attempt)
         data = generate_orthosep(3, 3, 2, rng)
-        theta = WeightVector(
+        theta = TwoLayerNet(
             weights=rng.gaussian(4 * 3).reshape(4, 3), outputs=rng.gaussian(4)
         )
         if np.min(np.abs(data.points @ theta.weights.T)) < 1e-6:
@@ -306,8 +306,7 @@ def count_gradient_mismatches(points, seed, rel_tol=1e-4, h=1e-6):
         kind = "exponential" if attempt % 2 == 0 else "logistic"
         # one tiny Euler step exposes the implementation's gradient
         probe = 1e-6
-        cfg = TrainerConfig(kind, probe, 1, record_every=10)
-        report = train(theta, data, cfg)
+        report = train(theta, data, kind, probe, 1, record_every=10)
         grad_w = (theta.weights - report.final_theta.weights) / probe
         grad_a = (theta.outputs - report.final_theta.outputs) / probe
         analytic = np.concatenate([grad_w.ravel(), grad_a])
@@ -315,19 +314,19 @@ def count_gradient_mismatches(points, seed, rel_tol=1e-4, h=1e-6):
         flat_index = 0
         for row in range(4):
             for col in range(3):
-                bump = theta.copy()
-                bump.weights[row, col] += h
-                up = total_loss(bump, data, kind)
-                bump.weights[row, col] -= 2 * h
-                down = total_loss(bump, data, kind)
+                bump = theta.weights.copy()
+                bump[row, col] += h
+                up = total_loss(bump, theta.outputs, data, kind)
+                bump[row, col] -= 2 * h
+                down = total_loss(bump, theta.outputs, data, kind)
                 numeric[flat_index] = (up - down) / (2 * h)
                 flat_index += 1
         for row in range(4):
-            bump = theta.copy()
-            bump.outputs[row] += h
-            up = total_loss(bump, data, kind)
-            bump.outputs[row] -= 2 * h
-            down = total_loss(bump, data, kind)
+            bump = theta.outputs.copy()
+            bump[row] += h
+            up = total_loss(theta.weights, bump, data, kind)
+            bump[row] -= 2 * h
+            down = total_loss(theta.weights, bump, data, kind)
             numeric[flat_index] = (up - down) / (2 * h)
             flat_index += 1
         scale = max(np.linalg.norm(analytic), 1e-12)
@@ -342,7 +341,7 @@ class TestConvergenceReport:
         v_neg = max_margin_vector(FOUR_POINTS.points[FOUR_POINTS.labels < 0]).vector
         norm_pos, norm_neg = np.linalg.norm(v_pos), np.linalg.norm(v_neg)
         # one neuron per sign in the limit shape: |a| = |w| = sqrt(|v_s|)
-        theta = WeightVector(
+        theta = TwoLayerNet(
             weights=np.vstack(
                 [math.sqrt(norm_pos) * v_pos / norm_pos,
                  math.sqrt(norm_neg) * v_neg / norm_neg]
@@ -357,18 +356,18 @@ class TestConvergenceReport:
     def test_scaling_leaves_report_invariant(self):
         v_pos = np.array([1.0, 0.0])
         v_neg = np.array([-1.0, 0.0])
-        theta = WeightVector(
+        theta = TwoLayerNet(
             weights=np.array([[1.0, 0.0], [-1.0, 0.0]]), outputs=np.array([1.0, -1.0])
         )
         base = convergence_report(theta, v_pos, v_neg)
         scaled = convergence_report(
-            WeightVector(5.0 * theta.weights, 5.0 * theta.outputs), v_pos, v_neg
+            TwoLayerNet(5.0 * theta.weights, 5.0 * theta.outputs), v_pos, v_neg
         )
         np.testing.assert_allclose(scaled.cosines, base.cosines, atol=1e-15)
         assert scaled.mass_ratio == pytest.approx(base.mass_ratio, rel=1e-15)
 
     def test_tiny_neurons_are_excluded(self):
-        theta = WeightVector(
+        theta = TwoLayerNet(
             weights=np.array([[1.0, 0.0], [1e-9, 1e-9]]), outputs=np.array([1.0, 1e-9])
         )
         report = convergence_report(theta, np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
@@ -378,7 +377,7 @@ class TestConvergenceReport:
 class TestTrajectoryCsv:
     def test_header_and_rows(self):
         theta0 = balanced_live_init(FOUR_POINTS, k=4, scale=0.5, rng=SeededRng(32, 0))
-        report = train(theta0, FOUR_POINTS, TrainerConfig("exponential", 1e-3, 200, record_every=100))
+        report = train(theta0, FOUR_POINTS, "exponential", 1e-3, 200, record_every=100)
         text = trajectory_to_csv(report)
         lines = text.splitlines()
         assert lines[0] == "step,loss,balance_residual,min_margin"

@@ -320,6 +320,16 @@ class TestImageSerialisation:
         with pytest.raises(ChannelMismatch):
             image_to_ppm(random_image(2, 2, 1, seed=94))
 
+    @pytest.mark.parametrize("data,field", [
+        (b"P6 1 -1 255\nabc", "height"),
+        (b"P6 0 1 255\n", "width"),
+        (b"P6 1 1 255", "raster"),
+        (b"P6 2 1 255\n" + bytes(3), "raster"),
+    ], ids=["negative-height", "zero-width", "no-raster", "short-raster"])
+    def test_malformed_ppm_names_the_field(self, data, field):
+        with pytest.raises(ValueError, match=field):
+            image_from_ppm(data)
+
 
 class TestOptimizeProgram:
     def test_zero_steps_returns_initial_offset(self):
