@@ -11,6 +11,7 @@ suite, 1 on a failing suite, and 2 on a configuration error.
 
 from __future__ import annotations
 
+import inspect
 import os
 import sys
 from pathlib import Path
@@ -76,6 +77,13 @@ _COMMON = {
     "seed": ("int", None),  # resolved from the environment fallback when absent
     "output_dir": ("str", "runs"),
 }
+
+
+def _suite_schema(suite, *keys: str) -> dict:
+    """Schema entries for keyword parameters of ``suite``: each key's type
+    is its annotation and its default the suite's own default."""
+    params = inspect.signature(suite, eval_str=True).parameters
+    return {key: (params[key].annotation.__name__, params[key].default) for key in keys}
 
 
 def _suite_args(values: dict) -> dict:
@@ -216,34 +224,23 @@ _COMMANDS = {
     }, _theorem2),
     "verify-corollary2": ({
         **_COMMON,
-        "k": ("int", 8),
-        "init_scale": ("float", 0.1),
-        "loss_kind": ("str", "exponential"),
-        "target_loss": ("float", 1e-6),
-        "budget_steps": ("int", 10_000_000),
+        **_suite_schema(
+            corollary2_suite, "k", "init_scale", "loss_kind", "target_loss", "budget_steps",
+        ),
     }, lambda values, write: corollary2_suite(**_suite_args(values))),
     "verify-proposition": ({
         **_COMMON,
-        "d": ("int", 64),
-        "tau": ("float", 0.2),
-        "trials": ("int", 10_000),
-        "k": ("int", 8),
-        "n_pos": ("int", 4),
-        "n_neg": ("int", 4),
-        "loss_kind": ("str", "exponential"),
-        "target_loss": ("float", 1e-6),
-        "opt_steps": ("int", 400),
-        "opt_lr": ("float", 0.01),
-        "opt_batch": ("int", 128),
+        **_suite_schema(
+            proposition_suite, "d", "tau", "trials", "k", "n_pos", "n_neg", "loss_kind",
+            "target_loss", "opt_steps", "opt_lr", "opt_batch",
+        ),
     }, lambda values, write: proposition_suite(**_suite_args(values))),
     "verify-appendix-a": ({
         **_COMMON,
-        "partition_d": ("int", 64),
-        "partition_trials": ("int", 10_000),
-        "sv_d": ("int", 1024),
-        "sv_k": ("int", 32),
-        "sv_gamma": ("float", 0.01),
-        "sv_trials": ("int", 1000),
+        **_suite_schema(
+            appendix_a_suite, "partition_d", "partition_trials", "sv_d", "sv_k", "sv_gamma",
+            "sv_trials",
+        ),
     }, lambda values, write: appendix_a_suite(**_suite_args(values))),
     "construct-program": ({
         **_COMMON,

@@ -77,10 +77,6 @@ class LabeledDataset:
         object.__setattr__(self, "labels", y)
 
     @property
-    def n(self) -> int:
-        return self.points.shape[0]
-
-    @property
     def d(self) -> int:
         return self.points.shape[1]
 
@@ -114,22 +110,16 @@ def sample_bernoulli(
     return xs, y
 
 
-def check_orthosep(dataset: LabeledDataset) -> tuple[bool, tuple[int, int] | None]:
+def check_orthosep(dataset: LabeledDataset) -> bool:
     """Certify orthogonal separability, exactly as defined.
 
     Same-class pairs (including i = i') must have strictly positive inner
     products; cross-class pairs must have nonpositive ones.  Comparisons
-    are exact: a cross pair at exactly zero is allowed.  Returns
-    (True, None) or (False, first violating index pair).
+    are exact: a cross pair at exactly zero is allowed.
     """
     gram = dataset.points @ dataset.points.T
     same = dataset.labels[:, None] == dataset.labels[None, :]
-    ok = np.where(same, gram > 0.0, gram <= 0.0)
-    if bool(np.all(ok)):
-        return True, None
-    flat = np.argmin(ok)  # first False in row-major order
-    i, j = divmod(int(flat), dataset.n)
-    return False, (i, j)
+    return bool(np.all(np.where(same, gram > 0.0, gram <= 0.0)))
 
 
 def _cone_point(axis: np.ndarray, rng: SeededRng) -> np.ndarray:
@@ -172,8 +162,7 @@ def generate_orthosep(
             points[n_pos + i] = _cone_point(-axis, rng)
         labels = np.concatenate([np.ones(n_pos), -np.ones(n_neg)])
         dataset = LabeledDataset(points=points, labels=labels)
-        ok, _ = check_orthosep(dataset)
-        if ok:
+        if check_orthosep(dataset):
             return dataset
     raise GenerationExhausted(
         f"no orthogonally separable dataset found in {_GENERATION_RETRIES} attempts"

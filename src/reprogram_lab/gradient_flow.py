@@ -408,30 +408,19 @@ def train_to_directional_limit(
 class ConvergenceReport:
     """Directional-convergence diagnostics against the max-margin targets.
 
-    ``cosines`` holds, for each surviving neuron (row norm above
-    SURVIVAL_FRACTION of the largest), the cosine between its hidden row and the max-margin
-    vector of its output sign.  ``mass_pos``/``mass_neg`` are the summed
-    squared output weights per sign; their ratio converges to
+    ``surviving`` holds the neurons whose row norm is above
+    SURVIVAL_FRACTION of the largest; ``min_cosine`` is the least cosine
+    between a surviving hidden row and the max-margin vector of its output
+    sign (nan when none survives); ``max_balance_residual`` is the largest
+    | ||w_j|| - |a_j| |; ``mass_ratio`` is the ratio of the summed squared
+    positive to negative output weights, which converges to
     norm(v_pos)/norm(v_neg) for direction-converged weights.
     """
 
     surviving: np.ndarray
-    cosines: np.ndarray
-    balance_residuals: np.ndarray
-    mass_pos: float
-    mass_neg: float
-
-    @property
-    def mass_ratio(self) -> float:
-        return self.mass_pos / self.mass_neg if self.mass_neg > 0 else math.inf
-
-    @property
-    def max_balance_residual(self) -> float:
-        return float(np.max(self.balance_residuals))
-
-    @property
-    def min_cosine(self) -> float:
-        return float(np.min(self.cosines)) if self.cosines.size else math.nan
+    min_cosine: float
+    max_balance_residual: float
+    mass_ratio: float
 
 
 def convergence_report(
@@ -451,10 +440,9 @@ def convergence_report(
     mass_neg = float(np.sum(theta.outputs[theta.outputs < 0] ** 2))
     return ConvergenceReport(
         surviving=surviving,
-        cosines=np.array(cosines),
-        balance_residuals=np.abs(norms - np.abs(theta.outputs)),
-        mass_pos=mass_pos,
-        mass_neg=mass_neg,
+        min_cosine=min(cosines, default=math.nan),
+        max_balance_residual=float(np.max(np.abs(norms - np.abs(theta.outputs)))),
+        mass_ratio=mass_pos / mass_neg if mass_neg > 0 else math.inf,
     )
 
 

@@ -21,14 +21,12 @@ class MarginSolution:
     """Solution of: minimise ||v||^2 / 2 subject to v.x_i >= 1 for all i.
 
     ``vector`` is the minimiser, ``multipliers`` the nonnegative dual
-    variables with vector = sum_i multipliers[i] * x_i up to rounding,
-    ``margin_slacks`` the values v.x_i - 1, and ``kkt_residual`` the
-    largest of the three KKT residuals.
+    variables with vector = sum_i multipliers[i] * x_i up to rounding, and
+    ``kkt_residual`` the largest of the three KKT residuals.
     """
 
     vector: np.ndarray
     multipliers: np.ndarray
-    margin_slacks: np.ndarray
     kkt_residual: float
 
 
@@ -86,9 +84,8 @@ def max_margin_vector(points: np.ndarray) -> MarginSolution:
     v += min_norm_solve(rows, 1.0 - rows @ v)  # one refinement step, within the row space
     lam = np.zeros(n)
     lam[u > 0.0] = np.linalg.lstsq(rows.T, v, rcond=None)[0]
-    slacks = x @ v - 1.0
-    worst = max(kkt_residuals(MarginSolution(v, lam, slacks, 0.0), x))
-    return MarginSolution(vector=v, multipliers=lam, margin_slacks=slacks, kkt_residual=worst)
+    worst = max(kkt_residuals(MarginSolution(v, lam, 0.0), x))
+    return MarginSolution(vector=v, multipliers=lam, kkt_residual=worst)
 
 
 def _nnls(e: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

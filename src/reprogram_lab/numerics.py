@@ -164,10 +164,9 @@ class SeededRng:
     """
 
     def __init__(self, master_seed: int, stream_id: int = 0):
-        self.master_seed = master_seed & _MASK64
-        self.stream_id = stream_id & _MASK64
+        # _mix64_int reduces its argument mod 2^64: seed and id are taken mod 2^64
         self._key = _mix64_int(
-            _mix64_int(self.master_seed + _GOLDEN) ^ _mix64_int(self.stream_id + _SECOND)
+            _mix64_int(master_seed + _GOLDEN) ^ _mix64_int(stream_id + _SECOND)
         )
         self._counter = 0
 

@@ -33,14 +33,13 @@ SOFTSIGN_SCALE = 1.2
 class AdversarialProgram:
     """Analytic program offset plus its provenance.
 
-    ``offset`` is the program p; ``target_bias`` the per-neuron bias vector
-    it induces (W p); ``helpful``/``unhelpful`` the index sets of neurons
-    aligned/anti-aligned with the task direction; the norms are recorded
-    as diagnostics.
+    ``offset`` is the program p; ``helpful``/``unhelpful`` the index sets
+    of neurons aligned/anti-aligned with the task direction; the norms of
+    p and of the per-neuron target bias it induces (W p) are recorded as
+    diagnostics.
     """
 
     offset: np.ndarray
-    target_bias: np.ndarray
     helpful: np.ndarray
     unhelpful: np.ndarray
     offset_norm: float
@@ -138,7 +137,6 @@ def construct_program(net: TwoLayerNet, direction: np.ndarray) -> AdversarialPro
         offset = np.zeros(net.d)
     return AdversarialProgram(
         offset=offset,
-        target_bias=bias,
         helpful=helpful,
         unhelpful=unhelpful,
         offset_norm=float(np.linalg.norm(offset)),
@@ -153,12 +151,12 @@ def reprogrammed_accuracy(
     m: int,
     trials: int,
     rng: SeededRng,
-) -> tuple[float, float]:
+) -> float:
     """Monte-Carlo accuracy of the reprogrammed network on the data model.
 
     A trial succeeds when m * y * N(offset + x) is strictly positive; an
     output of exactly zero counts as a failure.  Returns the success
-    fraction and its binomial standard error.
+    fraction.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -167,10 +165,7 @@ def reprogrammed_accuracy(
     xs, ys = sample_bernoulli(model, trials, rng)
     xs += np.asarray(offset, dtype=np.float64)[None, :]
     outputs = forward_batch(net, xs)
-    successes = int(np.count_nonzero(m * ys * outputs > 0.0))
-    accuracy = successes / trials
-    stderr = math.sqrt(accuracy * (1.0 - accuracy) / trials)
-    return accuracy, stderr
+    return int(np.count_nonzero(m * ys * outputs > 0.0)) / trials
 
 
 def bilinear_resize(pixels: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -302,7 +297,7 @@ def image_from_text(text: str) -> ProgramImage:
     tokens = text.split()
     if len(tokens) < 3:
         raise ValueError("image record too short")
-    h, w, c = int(tokens[0]), int(tokens[1]), int(tokens[2])
+    h, w, c = (_header_int("image", name, token) for name, token in zip("HWC", tokens))
     values = np.array([float(v) for v in tokens[3:]])
     if values.size != h * w * c:
         raise ValueError(f"expected {h * w * c} pixel values, found {values.size}")
@@ -320,13 +315,27 @@ def image_to_ppm(image: ProgramImage) -> bytes:
     return header + bytes8.tobytes()
 
 
+def _header_int(fmt: str, name: str, token) -> int:
+    """A header field that must be an integer of at least 1."""
+    try:
+        value = int(token)
+    except ValueError:
+        raise ValueError(f"{fmt} {name} must be an integer, got {token!r}") from None
+    if value < 1:
+        raise ValueError(f"{fmt} {name} must be at least 1, got {value}")
+    return value
+
+
 def image_from_ppm(data: bytes) -> ProgramImage:
     """Parse binary PPM back to float pixels in [-1, 1]."""
+    names = ("magic number", "width", "height", "maxval")
     fields: list[bytes] = []
     pos = 0
     while len(fields) < 4:
         while pos < len(data) and data[pos : pos + 1].isspace():
             pos += 1
+        if pos == len(data):
+            raise ValueError(f"PPM header ends before its {names[len(fields)]}")
         if data[pos : pos + 1] == b"#":
             while pos < len(data) and data[pos : pos + 1] != b"\n":
                 pos += 1
@@ -338,12 +347,9 @@ def image_from_ppm(data: bytes) -> ProgramImage:
     pos += 1  # single whitespace after maxval
     if fields[0] != b"P6":
         raise ValueError("only binary PPM (P6) is supported")
-    w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
+    w, h, maxval = (_header_int("PPM", n, f) for n, f in zip(names[1:], fields[1:]))
     if maxval != 255:
         raise ValueError("only maxval 255 is supported")
-    for name, value in (("width", w), ("height", h)):
-        if value < 1:
-            raise ValueError(f"PPM {name} must be at least 1, got {value}")
     size = h * w * 3
     if len(data) - pos < size:
         raise ValueError(f"PPM raster has {max(len(data) - pos, 0)} bytes, expected {size}")

@@ -45,7 +45,13 @@ from .gradient_flow import (
 from .maxmargin import failure_probability_bound, max_margin_vector
 from .network import forward, random_init
 from .numerics import SeededRng, one_blas_thread, singular_extremes
-from .reprogram import build_target_bias, construct_program, optimize_program, reprogrammed_accuracy
+from .reprogram import (
+    build_target_bias,
+    construct_program,
+    optimize_program,
+    partition_neurons,
+    reprogrammed_accuracy,
+)
 
 # Constants of the random-network output bound: C1 collects the union
 # bound over the probability parameters; C2..C5 come from combining the
@@ -82,6 +88,9 @@ COROLLARY2_MIN_NORM_GROWTH = 10.0
 
 # Rescaled-time budget of the proposition's directional-limit training.
 PROPOSITION_S_BUDGET = 100.0
+
+# Widths at which appendix_a checks the empty-partition rate 2^-k.
+APPENDIX_A_PARTITION_KS = (1, 4, 8)
 
 # The canonical small orthogonally separable dataset used by the
 # convergence suites: two almost-parallel points per class on opposite
@@ -370,14 +379,24 @@ def corollary1_parameters(
     return k, rho, min(raw_tau, 0.5), raw_tau > 0.5
 
 
-def _corollary1_block(args) -> int:
+def _corollary1_block(args) -> tuple[int, int]:
+    """One block of corollary1 trials.
+
+    Returns (successes, construction_errors); a construction error counts
+    as a failed trial.
+    """
     seed, start, count, d, k, rho, tau = args
-    successes = 0
+    successes = errors = 0
     for i in range(start, start + count):
         rng = SeededRng(seed, _BASE_COROLLARY1 + (d << 24) + i)
-        if _reprogram_trial(rng, d, k, rho, tau) > 0.0:
+        try:
+            value = _reprogram_trial(rng, d, k, rho, tau)
+        except (TieEncountered, GramNotPositiveDefinite):
+            errors += 1
+            continue
+        if value > 0.0:
             successes += 1
-    return successes
+    return successes, errors
 
 
 def corollary1_sweep(
@@ -393,17 +412,20 @@ def corollary1_sweep(
 
     For each d the sweep sets k = ceil(d^eta_k) clamped to d,
     rho = d^eta_rho, and tau = d^-eta_tau clamped to 1/2 (flagged), then
-    measures joint Monte-Carlo accuracy with label mapping m = 1.  The
-    verdict passes when accuracy at the largest d beats the smallest by
-    more than two combined standard errors, or both exceed 0.95.
-    ``workers`` threads run the trial blocks, by default one per
-    available CPU.
+    measures joint Monte-Carlo accuracy with label mapping m = 1; a
+    construction error counts as a failed trial and is reported per d.
+    ``d_list`` must be strictly increasing.  The verdict passes when
+    accuracy at the largest d beats the smallest by more than two combined
+    standard errors, or both exceed 0.95.  ``workers`` threads run the
+    trial blocks, by default one per available CPU.
     """
     validate_exponents(eta_k, eta_rho, eta_tau)
     if len(d_list) < 2:
         raise ValueError("the sweep needs at least two dimensions")
     if min(d_list) < 1:
         raise ValueError("every d in d_list must be at least 1")
+    if any(b <= a for a, b in zip(d_list, d_list[1:])):
+        raise ValueError(f"d_list must be strictly increasing, got {tuple(d_list)}")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     workers = _resolve_workers(workers)
@@ -415,8 +437,8 @@ def corollary1_sweep(
             (seed, start, min(_TRIAL_BLOCK, trials - start), d, k, rho, tau)
             for start in range(0, trials, _TRIAL_BLOCK)
         ]
-        successes = sum(_run_blocks(_corollary1_block, blocks, workers))
-        accuracy = successes / trials
+        results = _run_blocks(_corollary1_block, blocks, workers)
+        accuracy = sum(r[0] for r in results) / trials
         rows.append(
             {
                 "d": d,
@@ -426,6 +448,7 @@ def corollary1_sweep(
                 "tau_clamped": clamped,
                 "accuracy": accuracy,
                 "stderr": math.sqrt(accuracy * (1.0 - accuracy) / trials),
+                "construction_errors": sum(r[1] for r in results),
             }
         )
     first, last = rows[0], rows[-1]
@@ -443,6 +466,7 @@ def corollary1_sweep(
         measured[f"stderr_d{d}"] = row["stderr"]
         measured[f"k_d{d}"] = row["k"]
         measured[f"tau_clamped_d{d}"] = row["tau_clamped"]
+        measured[f"construction_errors_d{d}"] = row["construction_errors"]
     verdict = SuiteVerdict(
         name="corollary1",
         passed=gap > gap_needed or both_high,
@@ -668,7 +692,7 @@ def proposition_suite(
         )
         stream += 1
         for source, offset in programs.items():
-            accuracy, _ = reprogrammed_accuracy(
+            accuracy = reprogrammed_accuracy(
                 net, offset, model, m, trials, SeededRng(seed, stream)
             )
             stream += 1
@@ -689,7 +713,6 @@ def proposition_suite(
 def appendix_a_suite(
     seed: int,
     partition_d: int = 64,
-    partition_ks: tuple[int, ...] = (1, 4, 8),
     partition_trials: int = 10_000,
     sv_d: int = 1024,
     sv_k: int = 32,
@@ -701,10 +724,11 @@ def appendix_a_suite(
     Three sub-checks: (1) the target bias vector has norm exactly
     sqrt(d), to 1e-9, on every trial where some neuron is unhelpful;
     (2) the fraction of trials where no neuron is unhelpful is within
-    three binomial standard errors of 2^-k for each width (memberships
-    are independent fair coins); (3) extreme singular values of sampled
-    weight matrices violate the closed-form concentration bounds at rate
-    at most gamma plus three standard errors; these need sv_k <= sv_d.
+    three binomial standard errors of 2^-k for each width k in
+    APPENDIX_A_PARTITION_KS (memberships are independent fair coins);
+    (3) extreme singular values of sampled weight matrices violate the
+    closed-form concentration bounds at rate at most gamma plus three
+    standard errors; these need sv_k <= sv_d.
     ``sv_lower_bound_positive``, not part of the verdict, says whether
     s_min can violate the lower bound at all.
     """
@@ -720,15 +744,13 @@ def appendix_a_suite(
     passed = True
 
     max_norm_error = 0.0
-    for k_index, k in enumerate(partition_ks):
+    for k_index, k in enumerate(APPENDIX_A_PARTITION_KS):
         rng = SeededRng(seed, _BASE_APPENDIX_A + k_index)
         empty = 0
         target = math.sqrt(partition_d)
         for _ in range(partition_trials):
             net = random_init(partition_d, k, rng)
-            phi = random_hypercube_direction(partition_d, rng)
-            scores = net.outputs * (net.weights @ phi)
-            unhelpful = np.flatnonzero(scores < 0.0)
+            _, unhelpful = partition_neurons(net, random_hypercube_direction(partition_d, rng))
             if unhelpful.size == 0:
                 empty += 1
                 continue

@@ -111,7 +111,7 @@ def test_criterion_5_trained_network_failure_bound():
 
 def test_criterion_6_bias_norm_partition_and_singular_values():
     verdict = appendix_a_suite(
-        seed=SEED, partition_ks=(1, 4, 8), partition_trials=10_000,
+        seed=SEED, partition_trials=10_000,
         sv_d=1024, sv_k=32, sv_gamma=0.01, sv_trials=1000,
     )
     report(

@@ -3,7 +3,12 @@ caller inside the package: code that only its own tests call is dead
 weight.  References are counted on the syntax tree (names read and
 attributes), so a docstring or comment that mentions a name does not
 count, and a definition's references to itself do not count.  A console
-script in pyproject.toml counts as a caller of its entry point."""
+script in pyproject.toml counts as a caller of its entry point.
+
+Likewise every field of the package's dataclasses must be read as an
+attribute outside its own class, in the package or in the benchmark's
+code (its tracer reads some results); a field that only its own class or
+the tests read is dead weight too."""
 
 import ast
 import re
@@ -11,20 +16,26 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "reprogram_lab"
+BENCHMARK = ROOT / "perfbench"
+
+
+def _walk_except(tree: ast.AST, skip: ast.AST):
+    """Every node of ``tree`` outside the subtree ``skip``."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is not skip:
+            yield node
+            stack.extend(ast.iter_child_nodes(node))
 
 
 def referenced_names(tree: ast.AST, skip: ast.AST) -> set[str]:
     names = set()
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if node is skip:
-            continue
+    for node in _walk_except(tree, skip):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
-        stack.extend(ast.iter_child_nodes(node))
     return names
 
 
@@ -45,6 +56,40 @@ def uncalled_public_names(package: Path, pyproject: Path) -> list[str]:
     return uncalled
 
 
+def attributes_read(tree: ast.AST, skip: ast.AST) -> set[str]:
+    return {
+        node.attr for node in _walk_except(tree, skip)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def unread_dataclass_fields(package: Path, benchmark: Path) -> list[str]:
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    readers = list(trees.values()) + [
+        ast.parse(path.read_text()) for path in sorted(benchmark.glob("*.py"))
+        if not path.name.startswith("test_")
+    ]
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not (isinstance(node, ast.ClassDef) and _is_dataclass(node)):
+                continue
+            read = set().union(*(attributes_read(t, node) for t in readers))
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    if stmt.target.id not in read:
+                        unread.append(f"{module}.{node.name}.{stmt.target.id}")
+    return unread
+
+
 def test_every_public_name_has_a_caller_in_the_package():
     assert uncalled_public_names(PACKAGE, ROOT / "pyproject.toml") == []
 
@@ -60,3 +105,24 @@ def test_guard_sees_a_test_only_function(tmp_path):
     pyproject = tmp_path / "pyproject.toml"
     pyproject.write_text('[project.scripts]\ntool = "reprogram_lab.alpha:main"\n')
     assert uncalled_public_names(tmp_path, pyproject) == ["alpha.helper", "beta.Spare"]
+
+
+def test_every_dataclass_field_is_read_outside_its_class():
+    assert unread_dataclass_fields(PACKAGE, BENCHMARK) == []
+
+
+def test_guard_sees_a_field_only_its_class_reads(tmp_path):
+    package, benchmark = tmp_path / "pkg", tmp_path / "bench"
+    package.mkdir()
+    benchmark.mkdir()
+    (package / "alpha.py").write_text(
+        "from dataclasses import dataclass\n\n\n"
+        "@dataclass(frozen=True)\nclass Box:\n"
+        "    used: int\n    inner: int\n    traced: int\n    written: int\n\n"
+        "    @property\n    def twice(self):\n        return 2 * self.inner\n\n\n"
+        "class Plain:\n    spare: int\n\n\n"
+        "def main(box, other):\n    other.written = box.used\n    return box.twice\n"
+    )
+    (benchmark / "tracer.py").write_text("def work(box):\n    return box.traced\n")
+    (benchmark / "test_tracer.py").write_text("def test_it(box):\n    assert box.written\n")
+    assert unread_dataclass_fields(package, benchmark) == ["alpha.Box.inner", "alpha.Box.written"]

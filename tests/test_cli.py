@@ -136,6 +136,8 @@ class TestExitCodes:
         ("verify-theorem1", ["--d", "16", "--tau", "0.4", "--k", "0"], "k"),
         ("verify-theorem1", ["--d", "16", "--tau", "0.4", "--k", "-1"], "k"),
         ("sweep-corollary1", ["--d_list", "0,256", "--trials", "10"], "d_list"),
+        ("sweep-corollary1", ["--d_list", "1024,256", "--trials", "10"], "d_list"),
+        ("sweep-corollary1", ["--d_list", "256,256", "--trials", "10"], "d_list"),
         ("verify-appendix-a", ["--sv_gamma", "0", "--partition_trials", "10", "--sv_trials", "10"],
          "sv_gamma"),
         ("verify-appendix-a", ["--sv_gamma", "1", "--partition_trials", "10", "--sv_trials", "10"],
@@ -152,7 +154,8 @@ class TestExitCodes:
         ("verify-appendix-a", ["--sv_d", "8", "--sv_k", "16", "--partition_trials", "5",
                                "--sv_trials", "5"], "sv_k"),
     ], ids=[
-        "theorem1-k0", "theorem1-k-1", "corollary1-d0", "appendix-a-gamma0",
+        "theorem1-k0", "theorem1-k-1", "corollary1-d0", "corollary1-decreasing",
+        "corollary1-repeated", "appendix-a-gamma0",
         "appendix-a-gamma1", "theorem2-step-1", "theorem2-step0", "corollary2-target0",
         "corollary2-target-1", "proposition-target0", "corollary2-budget-5",
         "theorem2-steps-1", "appendix-a-k-above-d",
@@ -244,22 +247,25 @@ class TestSuiteWiring:
         ]
         assert written == expected
 
-    @pytest.mark.parametrize("command,suite", [
-        ("verify-corollary2", verify.corollary2_suite),
-        ("verify-proposition", verify.proposition_suite),
-        ("verify-appendix-a", verify.appendix_a_suite),
+    @pytest.mark.parametrize("command,suite,keys", [
+        ("verify-corollary2", verify.corollary2_suite,
+         "k init_scale loss_kind target_loss budget_steps"),
+        ("verify-proposition", verify.proposition_suite,
+         "d tau trials k n_pos n_neg loss_kind target_loss opt_steps opt_lr opt_batch"),
+        ("verify-appendix-a", verify.appendix_a_suite,
+         "partition_d partition_trials sv_d sv_k sv_gamma sv_trials"),
     ], ids=["corollary2", "proposition", "appendix-a"])
-    def test_schema_defaults_are_the_suite_defaults(self, command, suite):
-        # these commands pass every key to the suite by name, so each
-        # default is written twice: in the schema and in the signature
+    def test_schema_defaults_are_the_suite_defaults(self, command, suite, keys):
+        # these commands pass every key to the suite by name; the schema
+        # takes each key's type and default from the suite's signature and
+        # must accept exactly these keys
         schema = cli._COMMANDS[command][0]
         params = inspect.signature(suite).parameters
-        keys = set(schema) - set(cli._COMMON)
-        assert keys and keys <= set(params)
-        for key in sorted(keys):
-            default = schema[key][1]
+        assert set(schema) - set(cli._COMMON) == set(keys.split())
+        for key in keys.split():
+            type_name, default = schema[key]
             assert default == params[key].default, key
-            assert type(default) is type(params[key].default), key
+            assert type_name == type(default).__name__, key
 
 
 class TestOutputs:

@@ -86,24 +86,22 @@ class TestHypercubeDirection:
 class TestCheckOrthosep:
     def test_single_point_is_separable(self):
         data = LabeledDataset(points=np.array([[1.0, 2.0]]), labels=np.array([1.0]))
-        assert check_orthosep(data) == (True, None)
+        assert check_orthosep(data) is True
 
-    def test_same_class_negative_product_fails_with_pair(self):
+    def test_same_class_negative_product_fails(self):
         data = LabeledDataset(
             points=np.array([[1.0, 0.0], [-1.0, 0.0]]), labels=np.array([1.0, 1.0])
         )
-        ok, pair = check_orthosep(data)
-        assert not ok
-        assert pair == (0, 1)
+        assert check_orthosep(data) is False
 
     def test_four_point_dataset_passes(self):
-        assert check_orthosep(FOUR_POINTS) == (True, None)
+        assert check_orthosep(FOUR_POINTS) is True
 
     def test_exact_zero_cross_product_allowed(self):
         data = LabeledDataset(
             points=np.array([[1.0, 0.0], [0.0, 1.0]]), labels=np.array([1.0, -1.0])
         )
-        assert check_orthosep(data)[0]
+        assert check_orthosep(data)
 
 
 class TestGenerateOrthosep:
@@ -111,16 +109,16 @@ class TestGenerateOrthosep:
         data = LabeledDataset(
             points=np.array([[1.0, 0.0], [-1.0, 0.0]]), labels=np.array([1.0, -1.0])
         )
-        assert check_orthosep(data)[0]
+        assert check_orthosep(data)
 
     def test_generated_datasets_certify(self):
         data = generate_orthosep(8, 10, 10, SeededRng(8, 0))
-        assert data.n == 20
-        assert check_orthosep(data) == (True, None)
+        assert data.points.shape[0] == 20
+        assert check_orthosep(data) is True
 
     def test_two_dimensional_generation(self):
         data = generate_orthosep(2, 2, 2, SeededRng(9, 0))
-        assert check_orthosep(data)[0]
+        assert check_orthosep(data)
 
     def test_reproducible_at_fixed_seed(self):
         a = generate_orthosep(5, 3, 4, SeededRng(10, 3))
@@ -130,7 +128,7 @@ class TestGenerateOrthosep:
 
     def test_every_point_acts_as_linear_separator(self):
         data = generate_orthosep(6, 5, 5, SeededRng(11, 0))
-        for i in range(data.n):
+        for i in range(data.points.shape[0]):
             predictions = np.sign(data.labels[i] * (data.points @ data.points[i]))
             correct = predictions == data.labels
             # cross-class products may be exactly zero; those points sit on

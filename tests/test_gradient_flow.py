@@ -349,7 +349,7 @@ class TestConvergenceReport:
             outputs=np.array([math.sqrt(norm_pos), -math.sqrt(norm_neg)]),
         )
         report = convergence_report(theta, v_pos, v_neg)
-        np.testing.assert_allclose(report.cosines, 1.0, atol=1e-12)
+        assert report.min_cosine == pytest.approx(1.0, abs=1e-12)
         assert report.max_balance_residual <= 1e-12
         assert report.mass_ratio == pytest.approx(norm_pos / norm_neg, abs=1e-12)
 
@@ -363,7 +363,7 @@ class TestConvergenceReport:
         scaled = convergence_report(
             TwoLayerNet(5.0 * theta.weights, 5.0 * theta.outputs), v_pos, v_neg
         )
-        np.testing.assert_allclose(scaled.cosines, base.cosines, atol=1e-15)
+        assert scaled.min_cosine == pytest.approx(base.min_cosine, abs=1e-15)
         assert scaled.mass_ratio == pytest.approx(base.mass_ratio, rel=1e-15)
 
     def test_tiny_neurons_are_excluded(self):

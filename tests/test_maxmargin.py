@@ -132,7 +132,7 @@ class TestMaxMarginVector:
         oracle = brute_force_margin(points)
         assert 0.5 * sol.vector @ sol.vector == pytest.approx(oracle[0], rel=1e-9)
         stretched = sol.vector * (1.0 + 1e-6)
-        off = MarginSolution(stretched, sol.multipliers, points @ stretched - 1.0, 0.0)
+        off = MarginSolution(stretched, sol.multipliers, 0.0)
         assert max(kkt_residuals(off, points)) > KKT_TOL
 
 
@@ -160,7 +160,6 @@ class TestKktResiduals:
         sol = MarginSolution(
             vector=np.zeros(points.shape[1]),
             multipliers=np.zeros(n),
-            margin_slacks=-np.ones(n),
             kkt_residual=1.0,
         )
         feas, _, _ = kkt_residuals(sol, points)
@@ -176,7 +175,6 @@ class TestKktResiduals:
         bumped = MarginSolution(
             vector=sol.vector,
             multipliers=sol.multipliers + np.array([0.0, 0.1]),
-            margin_slacks=sol.margin_slacks,
             kkt_residual=sol.kkt_residual,
         )
         _, _, comp = kkt_residuals(bumped, points)

@@ -92,7 +92,7 @@ class TestConstructProgram:
         program = construct_program(net, phi)
         assert program.unhelpful.size == 0
         np.testing.assert_array_equal(program.offset, np.zeros(6))
-        np.testing.assert_array_equal(program.target_bias, np.zeros(2))
+        assert program.target_bias_norm == 0.0
 
     def test_single_anti_aligned_neuron_closed_form(self):
         d = 9
@@ -100,7 +100,7 @@ class TestConstructProgram:
         w = -phi + 0.1 * np.roll(phi, 1)
         net = TwoLayerNet(weights=w[None, :], outputs=np.array([1.0]))
         program = construct_program(net, phi)
-        np.testing.assert_allclose(program.target_bias, [-math.sqrt(d)], atol=1e-12)
+        assert program.target_bias_norm == pytest.approx(math.sqrt(d), abs=1e-12)
         expected = -math.sqrt(d) * w / (w @ w)
         np.testing.assert_allclose(program.offset, expected, atol=1e-10)
 
@@ -125,7 +125,7 @@ class TestConstructProgram:
         program = construct_program(net, phi)
         x = rng.gaussian(20)
         with_program = net.weights @ (program.offset + x)
-        expected = net.weights @ x + program.target_bias
+        expected = net.weights @ x + build_target_bias(20, 8, program.unhelpful)
         np.testing.assert_allclose(with_program, expected, atol=1e-9)
 
     def test_offset_norm_approaches_sqrt_d(self):
@@ -156,9 +156,7 @@ class TestReprogrammedAccuracy:
         )
         model = BernoulliModel(direction=phi, radius=2.0, bias=0.3)
         trials = 40_000
-        acc, stderr = reprogrammed_accuracy(
-            net, np.zeros(d), model, 1, trials, SeededRng(67, 0)
-        )
+        acc = reprogrammed_accuracy(net, np.zeros(d), model, 1, trials, SeededRng(67, 0))
         assert abs(acc - 0.5) < 3.0 * math.sqrt(0.25 / trials)
 
     def test_deterministic_data_independent_of_stream(self):
@@ -171,8 +169,8 @@ class TestReprogrammedAccuracy:
         phi = random_hypercube_direction(d, rng)
         program = construct_program(net, phi)
         model = BernoulliModel(direction=phi, radius=1.5, bias=0.5)
-        acc_a, _ = reprogrammed_accuracy(net, program.offset, model, 1, 500, SeededRng(68, 2))
-        acc_b, _ = reprogrammed_accuracy(net, program.offset, model, 1, 500, SeededRng(68, 3))
+        acc_a = reprogrammed_accuracy(net, program.offset, model, 1, 500, SeededRng(68, 2))
+        acc_b = reprogrammed_accuracy(net, program.offset, model, 1, 500, SeededRng(68, 3))
         assert acc_a == acc_b == 1.0
 
     def test_zero_output_counts_as_failure(self):
@@ -180,7 +178,7 @@ class TestReprogrammedAccuracy:
         phi = unit_direction(d)
         dead = TwoLayerNet(weights=np.zeros((1, d)), outputs=np.array([1.0]))
         model = BernoulliModel(direction=phi, radius=1.0, bias=0.5)
-        acc, _ = reprogrammed_accuracy(dead, np.zeros(d), model, 1, 100, SeededRng(69, 0))
+        acc = reprogrammed_accuracy(dead, np.zeros(d), model, 1, 100, SeededRng(69, 0))
         assert acc == 0.0
 
 
@@ -325,10 +323,24 @@ class TestImageSerialisation:
         (b"P6 0 1 255\n", "width"),
         (b"P6 1 1 255", "raster"),
         (b"P6 2 1 255\n" + bytes(3), "raster"),
-    ], ids=["negative-height", "zero-width", "no-raster", "short-raster"])
+        (b"P6 1", "height"),
+        (b"P6 x 1 255\n", "width"),
+        (b"P6 1 1 ff\n", "maxval"),
+    ], ids=["negative-height", "zero-width", "no-raster", "short-raster", "truncated-header",
+            "non-integer-width", "non-integer-maxval"])
     def test_malformed_ppm_names_the_field(self, data, field):
         with pytest.raises(ValueError, match=field):
             image_from_ppm(data)
+
+    @pytest.mark.parametrize("text,field", [
+        ("-1 -1 1\n0.5\n", "H must be at least 1"),
+        ("x 1 1\n0\n", "H must be an integer"),
+        ("1 0 1\n", "W must be at least 1"),
+        ("1 1 2.5\n0 0\n", "C must be an integer"),
+    ], ids=["negative-height", "non-integer-height", "zero-width", "fractional-channels"])
+    def test_malformed_text_image_names_the_field(self, text, field):
+        with pytest.raises(ValueError, match=field):
+            image_from_text(text)
 
 
 class TestOptimizeProgram:
@@ -362,10 +374,9 @@ class TestOptimizeProgram:
         model = BernoulliModel(direction=phi, radius=math.sqrt(d), bias=0.4)
         initial, _ = optimize_program(net, model, 1, 0, 0.01, 64, SeededRng(97, 1))
         final, _ = optimize_program(net, model, 1, 400, 0.01, 64, SeededRng(97, 1))
-        acc_before, se_before = reprogrammed_accuracy(
-            net, initial, model, 1, 4000, SeededRng(97, 2)
-        )
-        acc_after, _ = reprogrammed_accuracy(net, final, model, 1, 4000, SeededRng(97, 3))
+        acc_before = reprogrammed_accuracy(net, initial, model, 1, 4000, SeededRng(97, 2))
+        acc_after = reprogrammed_accuracy(net, final, model, 1, 4000, SeededRng(97, 3))
+        se_before = math.sqrt(acc_before * (1.0 - acc_before) / 4000)
         assert acc_after >= acc_before - 2.0 * se_before
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from reprogram_lab import numerics, verify
-from reprogram_lab.errors import ExponentConditionViolated, HypothesisViolated
+from reprogram_lab.errors import ExponentConditionViolated, HypothesisViolated, TieEncountered
 from reprogram_lab.gradient_flow import balanced_live_init
 from reprogram_lab.numerics import SeededRng
 from reprogram_lab.reprogram import build_target_bias
@@ -273,6 +273,41 @@ class TestCorollary1:
         assert verdict.passed
         assert verdict.measured["accuracy_d1024"] >= verdict.measured["accuracy_d256"] - 0.05
 
+    @pytest.mark.parametrize("d_list", [(1024, 256), (256, 256)], ids=["decreasing", "repeated"])
+    def test_d_list_must_increase_before_any_trial(self, monkeypatch, d_list):
+        # the verdict compares the first d with the last, as smallest and largest
+        def no_trials(args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(verify, "_corollary1_block", no_trials)
+        with pytest.raises(ValueError, match="d_list must be strictly increasing"):
+            corollary1_sweep(2.0 / 3.0, 0.3, 0.2, d_list, trials=10, seed=1)
+
+    def test_construction_error_counts_as_a_failed_trial(self, monkeypatch):
+        def sweep():
+            verdict, _ = corollary1_sweep(
+                2.0 / 3.0, 0.3, 0.2, (16, 32), trials=10, seed=5, workers=1
+            )
+            return verdict.measured
+
+        clean = sweep()
+        calls = []
+        construct = verify.construct_program
+
+        def third_call_ties(net, direction):
+            calls.append(net)
+            if len(calls) == 3:
+                raise TieEncountered("injected tie")
+            return construct(net, direction)
+
+        monkeypatch.setattr(verify, "construct_program", third_call_ties)
+        measured = sweep()
+        assert (clean["construction_errors_d16"], clean["construction_errors_d32"]) == (0, 0)
+        assert (measured["construction_errors_d16"], measured["construction_errors_d32"]) == (1, 0)
+        assert clean["accuracy_d16"] == 1.0  # so the failed trial was a success
+        assert measured["accuracy_d16"] == 0.9
+        assert measured["accuracy_d32"] == clean["accuracy_d32"]
+
 
 class TestTheorem2Suite:
     def test_small_run_crosses_always(self):
@@ -479,5 +514,5 @@ class TestSuiteVerdict:
 
 def test_four_point_dataset_shape():
     data = four_point_dataset()
-    assert data.n == 4 and data.d == 2
+    assert data.points.shape == (4, 2)
     assert list(data.labels) == [1.0, 1.0, -1.0, -1.0]
