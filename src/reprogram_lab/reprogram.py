@@ -316,11 +316,13 @@ def image_to_ppm(image: ProgramImage) -> bytes:
 
 
 def _header_int(fmt: str, name: str, token) -> int:
-    """A header field that must be an integer of at least 1."""
-    try:
-        value = int(token)
-    except ValueError:
-        raise ValueError(f"{fmt} {name} must be an integer, got {token!r}") from None
+    """A header field that must be an integer of at least 1, written in
+    ASCII digits (a minus sign is read, then rejected as below 1)."""
+    text = token.decode("latin-1") if isinstance(token, bytes) else token
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{fmt} {name} must be an integer, got {token!r}")
+    value = int(text)
     if value < 1:
         raise ValueError(f"{fmt} {name} must be at least 1, got {value}")
     return value

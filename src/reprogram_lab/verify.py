@@ -28,14 +28,8 @@ from .data_models import (
     LabeledDataset,
     generate_orthosep,
     random_hypercube_direction,
-    sample_bernoulli,
 )
-from .errors import (
-    ExponentConditionViolated,
-    GramNotPositiveDefinite,
-    HypothesisViolated,
-    TieEncountered,
-)
+from .errors import ExponentConditionViolated, HypothesisViolated
 from .gradient_flow import (
     balanced_live_init,
     convergence_report,
@@ -43,11 +37,17 @@ from .gradient_flow import (
     train_to_directional_limit,
 )
 from .maxmargin import failure_probability_bound, max_margin_vector
-from .network import forward, random_init
-from .numerics import SeededRng, one_blas_thread, singular_extremes
+from .network import forward_pass, random_init
+from .numerics import (
+    _GAUSSIAN_BLOCK_MAX,
+    SeededRng,
+    min_norm_solve,
+    one_blas_thread,
+    singular_extremes,
+)
 from .reprogram import (
+    TIE_TOL,
     build_target_bias,
-    construct_program,
     optimize_program,
     partition_neurons,
     reprogrammed_accuracy,
@@ -206,15 +206,44 @@ def theorem1_rhs(
     return scale * inner
 
 
-def _reprogram_trial(rng: SeededRng, d: int, k: int, rho: float, tau: float) -> float:
-    """y * N(p + x) for a fresh random network, task direction, analytic
-    program p and labelled sample (x, y), all drawn from ``rng``."""
-    net = random_init(d, k, rng)
-    phi = random_hypercube_direction(d, rng)
-    program = construct_program(net, phi)
-    model = BernoulliModel(direction=phi, radius=rho, bias=tau)
-    xs, ys = sample_bernoulli(model, 1, rng)
-    return ys[0] * forward(net, program.offset + xs[0])
+def _reprogram_margins(seed: int, stream_ids: list, d: int, k: int, rho: float,
+                       tau: float) -> np.ndarray:
+    """y * N(p + x) for each trial: a fresh random network, task direction,
+    analytic program p and labelled sample (x, y), drawn and built from
+    the trial's stream as ``random_init``, ``random_hypercube_direction``,
+    ``construct_program`` and ``sample_bernoulli`` do.  NaN marks a
+    construction error: a tied alignment score, or rank-deficient rows
+    where some neuron is unhelpful.
+
+    As many trials as fit in one Box-Muller block share each numpy call,
+    so trial threads hand the interpreter lock over less often; every
+    value is bitwise the one its trial gives alone.
+    """
+    per_stack = max(1, 2 * _GAUSSIAN_BLOCK_MAX // (k * d))
+    if len(stream_ids) > per_stack:
+        return np.concatenate([
+            _reprogram_margins(seed, stream_ids[first:first + per_stack], d, k, rho, tau)
+            for first in range(0, len(stream_ids), per_stack)
+        ])
+    rng = SeededRng(seed, stream_ids)
+    w = rng.gaussian(k * d).reshape(-1, k, d)
+    w *= 1.0 / math.sqrt(d)
+    a = rng.signs(k)
+    a *= 1.0 / math.sqrt(k)
+    phi = rng.signs(d)
+    phi *= 1.0 / math.sqrt(d)
+    scores = a * (w @ phi[..., None])[..., 0]
+    unhelpful = scores < 0.0
+    count = np.count_nonzero(unhelpful, axis=-1)[:, None]
+    bias = np.where(unhelpful, -np.sqrt(d / np.maximum(count, 1)), 0.0)
+    offset = np.where(count > 0, min_norm_solve(w, bias), 0.0)  # NaN: Gram failed
+    failed = np.isnan(offset[:, 0]) | np.any(np.abs(scores) < TIE_TOL, axis=-1)
+    ys = rng.signs(1)
+    flips = rng.random(d) < (0.5 - tau)
+    xs = ys * (rho * phi) * np.where(flips, -1.0, 1.0)
+    margins = forward_pass((offset + xs)[:, None, :], ys, w, a)[2][:, 0]
+    margins[failed] = np.nan
+    return margins
 
 
 def _theorem1_block(args) -> tuple[int, int, int]:
@@ -224,19 +253,13 @@ def _theorem1_block(args) -> tuple[int, int, int]:
     error counts as a violation.
     """
     seed, start, count, d, k, rho, tau, rhs = args
-    violations = successes = errors = 0
-    for i in range(start, start + count):
-        try:
-            value = _reprogram_trial(SeededRng(seed, _BASE_THEOREM1 + i), d, k, rho, tau)
-        except (TieEncountered, GramNotPositiveDefinite):
-            errors += 1
-            violations += 1
-            continue
-        if not value > rhs:
-            violations += 1
-        if value > 0.0:
-            successes += 1
-    return violations, successes, errors
+    ids = [_BASE_THEOREM1 + i for i in range(start, start + count)]
+    values = _reprogram_margins(seed, ids, d, k, rho, tau)
+    return (
+        int(np.count_nonzero(~(values > rhs))),
+        int(np.count_nonzero(values > 0.0)),
+        int(np.count_nonzero(np.isnan(values))),
+    )
 
 
 def available_cpus() -> int:
@@ -386,17 +409,9 @@ def _corollary1_block(args) -> tuple[int, int]:
     as a failed trial.
     """
     seed, start, count, d, k, rho, tau = args
-    successes = errors = 0
-    for i in range(start, start + count):
-        rng = SeededRng(seed, _BASE_COROLLARY1 + (d << 24) + i)
-        try:
-            value = _reprogram_trial(rng, d, k, rho, tau)
-        except (TieEncountered, GramNotPositiveDefinite):
-            errors += 1
-            continue
-        if value > 0.0:
-            successes += 1
-    return successes, errors
+    ids = [_BASE_COROLLARY1 + (d << 24) + i for i in range(start, start + count)]
+    values = _reprogram_margins(seed, ids, d, k, rho, tau)
+    return int(np.count_nonzero(values > 0.0)), int(np.count_nonzero(np.isnan(values)))
 
 
 def corollary1_sweep(

@@ -77,6 +77,17 @@ class TestParseConfig:
         values = parse_config("sweep-corollary1", ["--d_list", "16,32,64"])
         assert values["d_list"] == (16, 32, 64)
 
+    @pytest.mark.parametrize("text", ["256,,1024", ",", "256,1024,"])
+    def test_empty_list_entry_is_malformed(self, tmp_path, capsys, text):
+        code = run_cli([
+            "sweep-corollary1", "--d_list", text, "--trials", "10",
+            "--output_dir", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "malformed" in err and repr(text) in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestExitCodes:
     def test_unknown_command_exits_2(self, capsys):
@@ -336,6 +347,8 @@ class TestOutputs:
         ]) == 0
         diag = (out / "diagnostics.txt").read_text()
         assert "offset_norm" in diag and "target_bias_norm" in diag
+        # the program turns the positive class centre's output positive
+        assert float(diag.split("reprogrammed_output = ")[1]) > 0.0
         vector_lines = [
             l for l in (out / "program.txt").read_text().splitlines()
             if not l.startswith("#")

@@ -326,8 +326,12 @@ class TestImageSerialisation:
         (b"P6 1", "height"),
         (b"P6 x 1 255\n", "width"),
         (b"P6 1 1 ff\n", "maxval"),
+        (b"P6 1_0 1 255\n", "width"),
+        (b"P6 +1 1 +255\n", "width"),
+        ("P6 1 \u0661 255\n".encode(), "height"),
     ], ids=["negative-height", "zero-width", "no-raster", "short-raster", "truncated-header",
-            "non-integer-width", "non-integer-maxval"])
+            "non-integer-width", "non-integer-maxval", "underscore-width", "plus-sign",
+            "arabic-indic-digit"])
     def test_malformed_ppm_names_the_field(self, data, field):
         with pytest.raises(ValueError, match=field):
             image_from_ppm(data)
@@ -337,7 +341,11 @@ class TestImageSerialisation:
         ("x 1 1\n0\n", "H must be an integer"),
         ("1 0 1\n", "W must be at least 1"),
         ("1 1 2.5\n0 0\n", "C must be an integer"),
-    ], ids=["negative-height", "non-integer-height", "zero-width", "fractional-channels"])
+        ("1 1 1_0\n" + " 0" * 10, "C must be an integer"),
+        ("+1 1 1\n0\n", "H must be an integer"),
+        ("1 \u0661 1\n0\n", "W must be an integer"),
+    ], ids=["negative-height", "non-integer-height", "zero-width", "fractional-channels",
+            "underscore-channels", "plus-sign", "arabic-indic-digit"])
     def test_malformed_text_image_names_the_field(self, text, field):
         with pytest.raises(ValueError, match=field):
             image_from_text(text)

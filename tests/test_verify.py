@@ -11,10 +11,17 @@ import numpy as np
 import pytest
 
 from reprogram_lab import numerics, verify
-from reprogram_lab.errors import ExponentConditionViolated, HypothesisViolated, TieEncountered
+from reprogram_lab.data_models import BernoulliModel, random_hypercube_direction, sample_bernoulli
+from reprogram_lab.errors import (
+    ExponentConditionViolated,
+    GramNotPositiveDefinite,
+    HypothesisViolated,
+    TieEncountered,
+)
 from reprogram_lab.gradient_flow import balanced_live_init
+from reprogram_lab.network import forward, random_init
 from reprogram_lab.numerics import SeededRng
-from reprogram_lab.reprogram import build_target_bias
+from reprogram_lab.reprogram import build_target_bias, construct_program
 from reprogram_lab.verify import (
     BOUND_C1,
     BOUND_C2,
@@ -187,6 +194,19 @@ class TestTheorem1Montecarlo:
         if not positive:
             assert verdict.measured["rhs_value"] == pytest.approx(-1.87, abs=0.005)
 
+    def test_construction_error_counts_as_a_violation(self, monkeypatch):
+        cfg = Theorem1Config(
+            d=16, k=7, rho=16**0.3, tau=0.5, gamma=0.01, gamma_dag=0.01, trials=10, seed=5,
+        )
+        clean = theorem1_montecarlo(cfg, workers=1).measured
+        stacks = fail_third_trial_of_first_stack(monkeypatch)
+        measured = theorem1_montecarlo(cfg, workers=1).measured
+        assert stacks[0] == (5, 7, 16)
+        assert (clean["construction_errors"], clean["violations"], clean["accuracy"]) == (0, 0, 1.0)
+        assert measured["construction_errors"] == 1
+        assert measured["violations"] == 1
+        assert measured["accuracy"] == 0.9
+
     def test_vacuous_floor_flagged_and_passes(self):
         cfg = Theorem1Config(
             d=64, k=16, rho=2.0, tau=0.4, gamma=0.45, gamma_dag=0.01,
@@ -291,22 +311,68 @@ class TestCorollary1:
             return verdict.measured
 
         clean = sweep()
-        calls = []
-        construct = verify.construct_program
-
-        def third_call_ties(net, direction):
-            calls.append(net)
-            if len(calls) == 3:
-                raise TieEncountered("injected tie")
-            return construct(net, direction)
-
-        monkeypatch.setattr(verify, "construct_program", third_call_ties)
+        stacks = fail_third_trial_of_first_stack(monkeypatch)
         measured = sweep()
+        assert stacks[0] == (5, 7, 16)  # d = 16's first five trials, stacked
         assert (clean["construction_errors_d16"], clean["construction_errors_d32"]) == (0, 0)
         assert (measured["construction_errors_d16"], measured["construction_errors_d32"]) == (1, 0)
         assert clean["accuracy_d16"] == 1.0  # so the failed trial was a success
         assert measured["accuracy_d16"] == 0.9
         assert measured["accuracy_d32"] == clean["accuracy_d32"]
+
+
+def fail_third_trial_of_first_stack(monkeypatch) -> list:
+    """Make the Gram matrix of the third trial in the first stack of trials
+    fail, by zeroing one of its rows before the solve; returns the list of
+    stack shapes that the solver is handed."""
+    solve = verify.min_norm_solve
+    stacks = []
+
+    def third_trial_fails(mat, rhs):
+        stacks.append(mat.shape)
+        if len(stacks) == 1:
+            mat = mat.copy()
+            mat[2, 0] = 0.0
+        return solve(mat, rhs)
+
+    monkeypatch.setattr(verify, "min_norm_solve", third_trial_fails)
+    return stacks
+
+
+class TestReprogramMargins:
+    @staticmethod
+    def one_trial(seed, stream_id, d, k, rho, tau):
+        """One trial at a time through the library's public steps."""
+        rng = SeededRng(seed, stream_id)
+        net = random_init(d, k, rng)
+        phi = random_hypercube_direction(d, rng)
+        try:
+            program = construct_program(net, phi)
+        except (TieEncountered, GramNotPositiveDefinite):
+            return np.nan
+        xs, ys = sample_bernoulli(BernoulliModel(phi, rho, tau), 1, rng)
+        return ys[0] * forward(net, program.offset + xs[0])
+
+    @pytest.mark.parametrize("d,k,trials", [
+        (64, 16, 12), (100, 22, 7), (256, 41, 7), (1024, 102, 2), (4096, 256, 2),
+    ])
+    def test_stacked_trials_match_one_at_a_time_bitwise(self, d, k, trials):
+        rho, tau = d**0.3, min(d**-0.2, 0.5)
+        ids = [(2 << 40) + (d << 24) + i for i in range(trials)]
+        got = verify._reprogram_margins(97531, ids, d, k, rho, tau)
+        expected = np.array([self.one_trial(97531, i, d, k, rho, tau) for i in ids])
+        assert got.tobytes() == expected.tobytes()
+
+    def test_tie_and_failed_gram_are_nan(self, monkeypatch):
+        ids = list(range(5))
+        clean = verify._reprogram_margins(3, ids, 16, 7, 2.0, 0.4)
+        monkeypatch.setattr(verify, "TIE_TOL", np.inf)  # every score ties
+        assert np.all(np.isnan(verify._reprogram_margins(3, ids, 16, 7, 2.0, 0.4)))
+        monkeypatch.undo()
+        fail_third_trial_of_first_stack(monkeypatch)
+        failed = verify._reprogram_margins(3, ids, 16, 7, 2.0, 0.4)
+        assert np.isnan(failed).tolist() == [False, False, True, False, False]
+        assert np.array_equal(np.delete(failed, 2), np.delete(clean, 2))
 
 
 class TestTheorem2Suite:
