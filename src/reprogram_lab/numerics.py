@@ -33,6 +33,7 @@ import ctypes
 import functools
 import glob
 import math
+from collections.abc import Sequence
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -178,7 +179,7 @@ class SeededRng:
     cosine and sine variates are consumed, interleaved).
     """
 
-    def __init__(self, master_seed: int, stream_id=0):
+    def __init__(self, master_seed: int, stream_id: int | Sequence[int] = 0):
         bundle = np.ndim(stream_id)
         if bundle > 1:
             raise ValueError("stream_id must be an integer or a sequence of integers")
