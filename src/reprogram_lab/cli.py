@@ -12,7 +12,6 @@ suite, 1 on a failing suite, and 2 on a configuration error.
 from __future__ import annotations
 
 import inspect
-import math
 import os
 import sys
 from pathlib import Path
@@ -22,7 +21,7 @@ import numpy as np
 from .data_models import BernoulliModel, generate_orthosep, random_hypercube_direction
 from .errors import ConfigError, ReprogramLabError
 from .gradient_flow import balanced_live_init, train, trajectory_to_csv
-from .network import forward, network_to_text, random_init
+from .network import network_to_text, random_init
 from .numerics import SeededRng
 from .reprogram import (
     construct_program,
@@ -137,8 +136,6 @@ def _construct_program(values: dict, write) -> None:
     net = random_init(values["d"], values["k"], rng)
     phi = random_hypercube_direction(values["d"], rng)
     program = construct_program(net, phi)
-    # the output at the noise-free positive-class input of radius sqrt(d)
-    reprogrammed = forward(net, program.offset + math.sqrt(values["d"]) * phi)
     write("network.txt", network_to_text(net))
     write("program.txt", _vector_text(program.offset))
     write("diagnostics.txt", (
@@ -146,7 +143,6 @@ def _construct_program(values: dict, write) -> None:
         f"unhelpful = {program.unhelpful.size}\n"
         f"offset_norm = {program.offset_norm:.17g}\n"
         f"target_bias_norm = {program.target_bias_norm:.17g}\n"
-        f"reprogrammed_output = {reprogrammed:.17g}\n"
     ))
 
 

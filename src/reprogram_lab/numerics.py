@@ -4,16 +4,11 @@ Every routine is deterministic given its inputs.  Random draws come from
 counter-based streams addressed by (master_seed, stream_id), so identical
 seeds replay bitwise-identical sequences and distinct stream ids can be
 handed to independent workers.  Gaussians come from Box-Muller computed
-in cache-sized blocks straight into the output array.  The angle's cosine
-and sine are not libm's: :func:`_cos_sin_turns` reduces the angle word to
-a quarter turn exactly in integers and evaluates fdlibm's kernel
+in blocks of reused buffers straight into the output array.  The angle's
+cosine and sine are not libm's: :func:`_cos_sin_turns` reduces the angle
+word to a quarter turn exactly in integers and evaluates fdlibm's kernel
 polynomials with float adds and multiplies, so the draws depend on no
 libm but numpy's ``np.log`` for the radius.
-
-A bundle of stream ids draws for all of them in the numpy calls one
-stream makes, and :func:`min_norm_solve` solves a stack of systems the
-same way, each row bitwise what it gives alone: trial threads hand the
-interpreter lock to each other at every short numpy call.
 
 :func:`one_blas_thread` holds numpy's bundled OpenBLAS to one thread, so
 that threads running trials side by side do not oversubscribe the cores
@@ -33,7 +28,6 @@ import ctypes
 import functools
 import glob
 import math
-from collections.abc import Sequence
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -51,8 +45,8 @@ _TO_UNIT = 2.0 ** -53
 # Box-Muller pairs per block: a multiple of _GAUSSIAN_BLOCK, so that every
 # block but the last is a whole number of SIMD vectors and np.log meets each
 # element on the same loop path as in one call over the whole array (any
-# multiple of 2^13 keeps that, so the floor moves no draw's bits).  The
-# kernel makes about 50 numpy calls a block, and trial threads hand the
+# multiple of 2^13 keeps that, so the block size moves no draw's bits).
+# The kernel makes about 50 numpy calls a block, and trial threads hand the
 # interpreter lock to each other between them, so blocks are large: at
 # least 2^14 pairs (corollary1's d = 1024 draw of 52,224 pairs takes 4
 # passes, not 7) and up to _GAUSSIAN_BLOCK_MAX for large draws.
@@ -95,7 +89,7 @@ def _mix64_inplace(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
 _UHALF_QUARTER = np.uint64(1 << 50)
 _ANGLE_STEP = 2.0 * math.pi * _TO_UNIT  # radians per angle word
 # Horner coefficients of fdlibm's __kernel_cos (row 0: C1..C6) and
-# __kernel_sin (row 1: S1..S6).
+# __kernel_sin (row 1: S1..S6), as (2, 1) columns for the stacked rows.
 _KERNEL_POLY = np.array([
     [4.16666666666666019037e-02, -1.38888888888741095749e-03,
      2.48015872894767294178e-05, -2.75573143513906633035e-07,
@@ -103,19 +97,18 @@ _KERNEL_POLY = np.array([
     [-1.66666666666666324348e-01, 8.33333333332248946124e-03,
      -1.98412698298579493134e-04, 2.75573137070700676789e-06,
      -2.50507602534068634195e-08, 1.58969099521155010221e-10],
-]).T
+]).T[:, :, None]
 # Added to the quarter index q to give [q + 1, q]: bit 1 of each is the
 # sign of cos and of sin in quadrant q.
-_QUADRANT_SIGN = np.array([1, 0], dtype=np.uint64)
+_QUADRANT_SIGN = np.array([[1], [0]], dtype=np.uint64)
 
 
 def _cos_sin_turns(words: np.ndarray, quarter: np.ndarray, out: np.ndarray) -> np.ndarray:
     """cos and sin of 2π·k·2⁻⁵³ for the 53-bit angle words k in ``words[1]``.
 
-    Writes cos to ``out[0]`` and sin to ``out[1]``, float64, and returns
-    ``out``.  ``quarter`` is a uint64 array of any shape s, ``words`` a
-    (2,) + s uint64 array and ``out`` a (2,) + s float64 array; ``words``
-    and ``quarter`` are overwritten.
+    Writes cos to ``out[0]`` and sin to ``out[1]``, both (n,) float64, and
+    returns ``out``.  ``words`` is a (2, n) uint64 array and ``quarter`` an
+    (n,) uint64 array; both are overwritten.
 
     The reduction is exact integer work: the nearest quarter turn is
     q = (k + 2⁵⁰) >> 51 and the remainder r = k - q·2⁵¹, so the reduced
@@ -125,8 +118,6 @@ def _cos_sin_turns(words: np.ndarray, quarter: np.ndarray, out: np.ndarray) -> n
     and float adds and multiplies are used, so the result does not depend
     on the platform's libm, and the absolute error is about 1.6e-16.
     """
-    rows = (2,) + (1,) * quarter.ndim  # coefficient columns for the stacked rows
-    poly = _KERNEL_POLY.reshape(_KERNEL_POLY.shape[:1] + rows)
     scratch, angle = words
     np.add(angle, _UHALF_QUARTER, out=quarter)
     quarter >>= _U51
@@ -136,8 +127,8 @@ def _cos_sin_turns(words: np.ndarray, quarter: np.ndarray, out: np.ndarray) -> n
     np.multiply(angle.view(np.int64), _ANGLE_STEP, out=x)
     z = scratch.view(np.float64)
     np.multiply(x, x, out=z)
-    np.multiply(poly[5], z, out=out)
-    for coefficient in poly[4::-1]:
+    np.multiply(_KERNEL_POLY[5], z, out=out)
+    for coefficient in _KERNEL_POLY[4::-1]:
         out += coefficient
         out *= z
     cos, sin = out
@@ -155,7 +146,7 @@ def _cos_sin_turns(words: np.ndarray, quarter: np.ndarray, out: np.ndarray) -> n
     np.bitwise_xor(bits[0], bits[1], out=swap)
     swap &= odd
     bits ^= swap
-    np.add(quarter, _QUADRANT_SIGN.reshape(rows), out=words)
+    np.add(quarter, _QUADRANT_SIGN, out=words)
     words &= np.uint64(2)
     words <<= _U62
     bits ^= words
@@ -170,38 +161,26 @@ class SeededRng:
     streams with distinct ids are statistically independent.  A stream has
     a single owner: methods advance an internal counter.
 
-    ``stream_id`` may also be a sequence of ids, a bundle of streams that
-    share one counter.  Each draw then has a leading axis with one row per
-    id, and row i is bitwise what ``SeededRng(master_seed, ids[i])`` draws
-    alone; a single id runs the same code as a bundle of one.
-
     Gaussians use the Box-Muller transform on the uniform stream (both the
     cosine and sine variates are consumed, interleaved).
     """
 
-    def __init__(self, master_seed: int, stream_id: int | Sequence[int] = 0):
-        bundle = np.ndim(stream_id)
-        if bundle > 1:
-            raise ValueError("stream_id must be an integer or a sequence of integers")
-        ids = list(stream_id) if bundle else [stream_id]
+    def __init__(self, master_seed: int, stream_id: int = 0):
         # _mix64_int reduces its argument mod 2^64: seed and id are taken mod 2^64
-        seed_key = _mix64_int(master_seed + _GOLDEN)
-        keys = [_mix64_int(seed_key ^ _mix64_int(int(i) + _SECOND)) for i in ids]
-        self._keys = np.array(keys, dtype=np.uint64).reshape(-1, 1)
-        self._lead = (len(ids),) if bundle else ()
+        self._key = _mix64_int(
+            _mix64_int(master_seed + _GOLDEN) ^ _mix64_int(stream_id + _SECOND)
+        )
         self._counter = 0
 
-    def _offsets(self, position: int) -> np.ndarray:
-        """Pre-mix words at stream position ``position + i + 1``, less
-        i·golden, one row per stream: a (streams, 1) uint64 array."""
-        return self._keys + np.uint64(position * _GOLDEN & _MASK64)
+    def _offset(self, position: int) -> int:
+        """Pre-mix word at stream position ``position + i + 1``, less i·golden."""
+        return (self._key + position * _GOLDEN) & _MASK64
 
     def _words(self, position: int, count: int) -> np.ndarray:
-        """Raw words at stream positions position+1 .. position+count,
-        shape (streams, count)."""
+        """Raw words at stream positions position+1 .. position+count."""
         z = np.arange(1, 1 + count, dtype=np.uint64)
         z *= _UGOLDEN
-        z = z + self._offsets(position)
+        z += np.uint64(self._offset(position))
         return _mix64_inplace(z, np.empty_like(z))
 
     def uniform64(self, count: int) -> np.ndarray:
@@ -210,7 +189,7 @@ class SeededRng:
             raise ValueError("count must be nonnegative")
         z = self._words(self._counter, count)
         self._counter += count
-        return z.reshape(self._lead + (count,))
+        return z
 
     def random(self, count: int) -> np.ndarray:
         """Uniform float64 samples in [0, 1)."""
@@ -242,48 +221,49 @@ class SeededRng:
         The radius is sqrt(-2 log u) with numpy's log; the angle's cosine
         and sine come from :func:`_cos_sin_turns`, not from libm.  The
         pairs are computed in blocks of ``_GAUSSIAN_BLOCK`` to
-        ``_GAUSSIAN_BLOCK_MAX`` pairs, in five block-sized rows of reused
-        buffers; the radius and the quarter-turn index are kept in the
-        output's cosine and sine blocks.  So the work stays in cache and
-        the output is the only large array.  A bundle's streams share
-        each block's numpy calls; every stream's row of a call is a
-        contiguous run of the length it has alone.
+        ``_GAUSSIAN_BLOCK_MAX`` pairs (or the whole draw, if it is
+        smaller), in five block-sized rows of reused buffers; the radius
+        and the quarter-turn index are kept in the output's cosine and
+        sine blocks.  The buffers hold at most 5·8·``_GAUSSIAN_BLOCK_MAX``
+        bytes (1.3 MB): below a sixth of the output for draws of 2^18 pairs
+        or more, but 2.5 times the output for draws of up to 2^14 pairs.
         """
         if count < 0:
             raise ValueError("count must be nonnegative")
         if count == 0:
-            return np.empty(self._lead + (0,))
+            return np.empty(0)
         pairs = (count + 1) // 2
         start = self._counter
         self._counter += 2 * pairs
-        streams = len(self._keys)
-        out = np.empty((streams, 2 * pairs))
-        # At most a sixteenth of the draw, so the five block-sized buffer
-        # rows stay below a sixth of the output.
+        out = np.empty(2 * pairs)
+        # At most a sixteenth of the draw once that is above the floor, so
+        # for large draws the five block-sized buffer rows stay below a
+        # sixth of the output.
         block = min(_GAUSSIAN_BLOCK_MAX, pairs // 16) // _GAUSSIAN_BLOCK * _GAUSSIAN_BLOCK
         block = min(pairs, max(block, _GAUSSIAN_BLOCK))
         steps = np.arange(1, 1 + block, dtype=np.uint64)
         steps *= _UGOLDEN
-        words = np.empty((2, streams, block), dtype=np.uint64)  # radius rows, angle rows
-        cos_sin = np.empty((2, streams, block))
+        offsets = np.empty((2, 1), dtype=np.uint64)
+        words = np.empty((2, block), dtype=np.uint64)  # radius row, angle row
+        cos_sin = np.empty((2, block))
         for first in range(0, pairs, block):
             n = min(block, pairs - first)
-            offsets = np.stack([self._offsets(start + first), self._offsets(start + pairs + first)])
-            w = words[:, :, :n]
+            offsets[:, 0] = self._offset(start + first), self._offset(start + pairs + first)
+            w = words[:, :n]
             np.add(steps[:n], offsets, out=w)
-            _mix64_inplace(w, cos_sin[:, :, :n].view(np.uint64))
+            _mix64_inplace(w, cos_sin[:, :n].view(np.uint64))
             w >>= _U11
             w[0] += np.uint64(1)
-            radius = out[:, first:first + n]
+            radius = out[first:first + n]
             np.multiply(w[0], _TO_UNIT, out=radius)  # (0, 1]: log never sees zero
             np.log(radius, out=radius)
             radius *= -2.0
             np.sqrt(radius, out=radius)
-            sin_part = out[:, pairs + first:pairs + first + n]
-            cos, sin = _cos_sin_turns(w, sin_part.view(np.uint64), cos_sin[:, :, :n])
+            sin_part = out[pairs + first:pairs + first + n]
+            cos, sin = _cos_sin_turns(w, sin_part.view(np.uint64), cos_sin[:, :n])
             np.multiply(sin, radius, out=sin_part)
             radius *= cos
-        return out[:, :count].reshape(self._lead + (count,))
+        return out[:count]
 
 
 @functools.cache
@@ -336,75 +316,44 @@ def min_norm_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     Gram matrix; the result satisfies
     ``norm(mat @ p - rhs) <= LINSOLVE_TOL * max(1, norm(rhs))``.
 
-    ``mat`` may also be a stack (..., k, d) of systems with ``rhs`` of shape
-    (..., k).  The entries then share each numpy and LAPACK call, and each
-    entry's solution, including its refinement steps, is bitwise the one
-    it gets alone.  An entry whose Gram matrix fails the test below comes
-    back as NaN while the other entries are solved.
-
     Raises
     ------
     GramNotPositiveDefinite
-        If the Gram matrix of an unstacked system is not positive definite
-        or has a Cholesky pivot L[j, j]² below ``PD_PIVOT_TOL`` (linearly
-        dependent rows, including the case k > d).
+        If the Gram matrix is not positive definite or has a Cholesky
+        pivot L[j, j]² below ``PD_PIVOT_TOL`` (linearly dependent rows,
+        including the case k > d).
     """
     w = np.asarray(mat, dtype=np.float64)
     b = np.asarray(rhs, dtype=np.float64)
-    if w.ndim < 2:
-        raise ValueError("min_norm_solve expects a 2-D matrix or a stack of them")
-    if b.shape != w.shape[:-1]:
+    if w.ndim != 2:
+        raise ValueError("min_norm_solve expects a 2-D matrix")
+    if b.shape != (w.shape[0],):
         raise ValueError("right-hand side length must equal the row count")
-    lead, (k, d) = w.shape[:-2], w.shape[-2:]
-    w = w.reshape(-1, k, d)
-    b = b.reshape(-1, k)
-    gram = w @ w.swapaxes(-1, -2)
     try:
-        low = np.linalg.cholesky(gram)
+        low = np.linalg.cholesky(w @ w.T)
     except np.linalg.LinAlgError as exc:
-        if not lead:
-            raise GramNotPositiveDefinite(f"Gram matrix is not positive definite: {exc}") from exc
-        # numpy rejects the whole stack for one failed entry: factor one by
-        # one, and leave zero pivots where LAPACK fails.
-        low = np.zeros_like(gram)
-        for i, entry in enumerate(gram):
-            try:
-                low[i] = np.linalg.cholesky(entry)
-            except np.linalg.LinAlgError:
-                continue
+        raise GramNotPositiveDefinite(f"Gram matrix is not positive definite: {exc}") from exc
     # LAPACK accepts any positive pivot; the floor also rejects tiny ones.
-    pivots = np.diagonal(low, axis1=-2, axis2=-1) ** 2
-    failed = np.any(pivots < PD_PIVOT_TOL, axis=-1)
-    if not lead and failed[0]:
+    pivots = np.diag(low) ** 2
+    if np.any(pivots < PD_PIVOT_TOL):
         raise GramNotPositiveDefinite(
             f"smallest Cholesky pivot {pivots.min():.3e} is below {PD_PIVOT_TOL:g}"
         )
-    if failed.any():
-        low[failed] = np.eye(k)  # solved harmlessly, then set to NaN
 
-    def solve_gram(factor: np.ndarray, vec: np.ndarray) -> np.ndarray:
-        return np.linalg.solve(factor.swapaxes(-1, -2), np.linalg.solve(factor, vec[..., None]))
+    def solve_gram(vec: np.ndarray) -> np.ndarray:
+        return np.linalg.solve(low.T, np.linalg.solve(low, vec))
 
-    def norm(vec: np.ndarray) -> np.ndarray:
-        # sqrt of the dot product, as np.linalg.norm computes it for a vector
-        return np.sqrt((vec[..., None, :] @ vec[..., :, None])[..., 0, 0])
-
-    wt = w.swapaxes(-1, -2)
-    p = (wt @ solve_gram(low, b))[..., 0]
+    p = w.T @ solve_gram(b)
     # Iterative refinement keeps the residual at the contract level even
     # for ill-conditioned Gram matrices; corrections live in the row
-    # space, so minimality is preserved.  An entry stops at its first
-    # residual within goal, as it would alone.
-    goal = 0.25 * LINSOLVE_TOL * np.maximum(1.0, norm(b))
-    refining = ~failed
+    # space, so minimality is preserved.
+    goal = 0.25 * LINSOLVE_TOL * max(1.0, float(np.linalg.norm(b)))
     for _ in range(4):
-        residual = b - (w @ p[..., None])[..., 0]
-        refining &= norm(residual) > goal
-        if not refining.any():
+        residual = b - w @ p
+        if float(np.linalg.norm(residual)) <= goal:
             break
-        p[refining] += (wt[refining] @ solve_gram(low[refining], residual[refining]))[..., 0]
-    p[failed] = np.nan
-    return p.reshape(lead + (d,))
+        p += w.T @ solve_gram(residual)
+    return p
 
 
 def singular_extremes(mat: np.ndarray) -> tuple[float, float]:

@@ -28,8 +28,14 @@ from .data_models import (
     LabeledDataset,
     generate_orthosep,
     random_hypercube_direction,
+    sample_bernoulli,
 )
-from .errors import ExponentConditionViolated, HypothesisViolated
+from .errors import (
+    ExponentConditionViolated,
+    GramNotPositiveDefinite,
+    HypothesisViolated,
+    TieEncountered,
+)
 from .gradient_flow import (
     balanced_live_init,
     convergence_report,
@@ -37,17 +43,11 @@ from .gradient_flow import (
     train_to_directional_limit,
 )
 from .maxmargin import failure_probability_bound, max_margin_vector
-from .network import forward_pass, random_init
-from .numerics import (
-    _GAUSSIAN_BLOCK_MAX,
-    SeededRng,
-    min_norm_solve,
-    one_blas_thread,
-    singular_extremes,
-)
+from .network import forward, random_init
+from .numerics import SeededRng, one_blas_thread, singular_extremes
 from .reprogram import (
-    TIE_TOL,
     build_target_bias,
+    construct_program,
     optimize_program,
     partition_neurons,
     reprogrammed_accuracy,
@@ -71,6 +71,14 @@ _BASE_PROPOSITION = 5 << 40
 _BASE_APPENDIX_A = 6 << 40
 
 _TRIAL_BLOCK = 5  # fixed sharding granularity, independent of worker count
+# With no worker count given, trials whose weight matrix holds fewer
+# entries (k * d) than this run in the calling thread: their numpy calls
+# are so short that trial threads spend more time handing the interpreter
+# lock to each other than they gain.  On 2 cores, two threads took 2.0
+# times one thread's time for corollary1's d = 256 trials (k * d = 10,496),
+# 1.2 to 1.3 times at d = 1024 (104,448), 0.8 to 1.0 times at d = 2048
+# (331,776) and 0.65 times at d = 4096, k = 256.
+_THREADS_MIN_WEIGHTS = 1 << 18
 
 # Scale of the balanced initialisation of theorem2's and the
 # proposition's training runs.
@@ -206,44 +214,15 @@ def theorem1_rhs(
     return scale * inner
 
 
-def _reprogram_margins(seed: int, stream_ids: list, d: int, k: int, rho: float,
-                       tau: float) -> np.ndarray:
-    """y * N(p + x) for each trial: a fresh random network, task direction,
-    analytic program p and labelled sample (x, y), drawn and built from
-    the trial's stream as ``random_init``, ``random_hypercube_direction``,
-    ``construct_program`` and ``sample_bernoulli`` do.  NaN marks a
-    construction error: a tied alignment score, or rank-deficient rows
-    where some neuron is unhelpful.
-
-    As many trials as fit in one Box-Muller block share each numpy call,
-    so trial threads hand the interpreter lock over less often; every
-    value is bitwise the one its trial gives alone.
-    """
-    per_stack = max(1, 2 * _GAUSSIAN_BLOCK_MAX // (k * d))
-    if len(stream_ids) > per_stack:
-        return np.concatenate([
-            _reprogram_margins(seed, stream_ids[first:first + per_stack], d, k, rho, tau)
-            for first in range(0, len(stream_ids), per_stack)
-        ])
-    rng = SeededRng(seed, stream_ids)
-    w = rng.gaussian(k * d).reshape(-1, k, d)
-    w *= 1.0 / math.sqrt(d)
-    a = rng.signs(k)
-    a *= 1.0 / math.sqrt(k)
-    phi = rng.signs(d)
-    phi *= 1.0 / math.sqrt(d)
-    scores = a * (w @ phi[..., None])[..., 0]
-    unhelpful = scores < 0.0
-    count = np.count_nonzero(unhelpful, axis=-1)[:, None]
-    bias = np.where(unhelpful, -np.sqrt(d / np.maximum(count, 1)), 0.0)
-    offset = np.where(count > 0, min_norm_solve(w, bias), 0.0)  # NaN: Gram failed
-    failed = np.isnan(offset[:, 0]) | np.any(np.abs(scores) < TIE_TOL, axis=-1)
-    ys = rng.signs(1)
-    flips = rng.random(d) < (0.5 - tau)
-    xs = ys * (rho * phi) * np.where(flips, -1.0, 1.0)
-    margins = forward_pass((offset + xs)[:, None, :], ys, w, a)[2][:, 0]
-    margins[failed] = np.nan
-    return margins
+def _reprogram_trial(rng: SeededRng, d: int, k: int, rho: float, tau: float) -> float:
+    """y * N(p + x) for a fresh random network, task direction, analytic
+    program p and labelled sample (x, y), all drawn from ``rng``."""
+    net = random_init(d, k, rng)
+    phi = random_hypercube_direction(d, rng)
+    program = construct_program(net, phi)
+    model = BernoulliModel(direction=phi, radius=rho, bias=tau)
+    xs, ys = sample_bernoulli(model, 1, rng)
+    return ys[0] * forward(net, program.offset + xs[0])
 
 
 def _theorem1_block(args) -> tuple[int, int, int]:
@@ -253,26 +232,34 @@ def _theorem1_block(args) -> tuple[int, int, int]:
     error counts as a violation.
     """
     seed, start, count, d, k, rho, tau, rhs = args
-    ids = [_BASE_THEOREM1 + i for i in range(start, start + count)]
-    values = _reprogram_margins(seed, ids, d, k, rho, tau)
-    return (
-        int(np.count_nonzero(~(values > rhs))),
-        int(np.count_nonzero(values > 0.0)),
-        int(np.count_nonzero(np.isnan(values))),
-    )
+    violations = successes = errors = 0
+    for i in range(start, start + count):
+        try:
+            value = _reprogram_trial(SeededRng(seed, _BASE_THEOREM1 + i), d, k, rho, tau)
+        except (TieEncountered, GramNotPositiveDefinite):
+            errors += 1
+            violations += 1
+            continue
+        if not value > rhs:
+            violations += 1
+        if value > 0.0:
+            successes += 1
+    return violations, successes, errors
 
 
 def available_cpus() -> int:
-    """CPUs this process may run on: the default worker count."""
+    """CPUs this process may run on: the default worker count for large
+    trials."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without affinity masks
         return os.cpu_count() or 1
 
 
-def _resolve_workers(workers: int | None) -> int:
+def _resolve_workers(workers: int | None, weights: int) -> int:
+    """Threads for trials of ``weights`` first-layer weights each."""
     if workers is None:
-        return available_cpus()
+        return available_cpus() if weights >= _THREADS_MIN_WEIGHTS else 1
     if workers < 1:
         raise ValueError("workers must be at least 1")
     return workers
@@ -333,11 +320,12 @@ def theorem1_montecarlo(cfg: Theorem1Config, workers: int | None = None) -> Suit
     the threshold itself is above zero; when it is not, a pass only says
     the outputs clear a negative number.  It is not part of the verdict.
     ``workers`` threads run the trial blocks, by default one per
-    available CPU.
+    available CPU if a trial draws at least ``_THREADS_MIN_WEIGHTS``
+    weights (k * d) and one otherwise.
     """
     if cfg.trials < 1:
         raise ValueError("trials must be at least 1")
-    workers = _resolve_workers(workers)
+    workers = _resolve_workers(workers, cfg.k * cfg.d)
     started = time.perf_counter()
     rhs = theorem1_rhs(cfg.d, cfg.k, cfg.rho, cfg.tau, cfg.gamma, cfg.gamma_dag)
     floor = (1.0 - BOUND_C1 * cfg.gamma) * (1.0 - cfg.gamma_dag)
@@ -409,9 +397,17 @@ def _corollary1_block(args) -> tuple[int, int]:
     as a failed trial.
     """
     seed, start, count, d, k, rho, tau = args
-    ids = [_BASE_COROLLARY1 + (d << 24) + i for i in range(start, start + count)]
-    values = _reprogram_margins(seed, ids, d, k, rho, tau)
-    return int(np.count_nonzero(values > 0.0)), int(np.count_nonzero(np.isnan(values)))
+    successes = errors = 0
+    for i in range(start, start + count):
+        rng = SeededRng(seed, _BASE_COROLLARY1 + (d << 24) + i)
+        try:
+            value = _reprogram_trial(rng, d, k, rho, tau)
+        except (TieEncountered, GramNotPositiveDefinite):
+            errors += 1
+            continue
+        if value > 0.0:
+            successes += 1
+    return successes, errors
 
 
 def corollary1_sweep(
@@ -432,7 +428,9 @@ def corollary1_sweep(
     ``d_list`` must be strictly increasing.  The verdict passes when
     accuracy at the largest d beats the smallest by more than two combined
     standard errors, or both exceed 0.95.  ``workers`` threads run the
-    trial blocks, by default one per available CPU.
+    trial blocks; by default one per available CPU at each d whose trials
+    draw at least ``_THREADS_MIN_WEIGHTS`` weights (k * d), and one at
+    the others.
     """
     validate_exponents(eta_k, eta_rho, eta_tau)
     if len(d_list) < 2:
@@ -443,7 +441,7 @@ def corollary1_sweep(
         raise ValueError(f"d_list must be strictly increasing, got {tuple(d_list)}")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    workers = _resolve_workers(workers)
+    _resolve_workers(workers, 0)  # reject a bad count before any trial runs
     started = time.perf_counter()
     rows = []
     for d in d_list:
@@ -452,7 +450,7 @@ def corollary1_sweep(
             (seed, start, min(_TRIAL_BLOCK, trials - start), d, k, rho, tau)
             for start in range(0, trials, _TRIAL_BLOCK)
         ]
-        results = _run_blocks(_corollary1_block, blocks, workers)
+        results = _run_blocks(_corollary1_block, blocks, _resolve_workers(workers, k * d))
         accuracy = sum(r[0] for r in results) / trials
         rows.append(
             {

@@ -110,10 +110,10 @@ class TestSeededRng:
         assert abs(g.mean()) < 3.0 / math.sqrt(200_000)
         assert abs(g.var() - 1.0) < 3.0 * math.sqrt(2.0 / 200_000)
 
-    # Up to _B + 1 normals take one block; 2 * _B + 3 normals take a block
-    # of _B pairs and a 2-pair rest; 32 * _B + 1 and 48 * _B + 2 normals
-    # take 17 and 25 blocks of _B; 4096 * 256 normals take blocks of
-    # numerics._GAUSSIAN_BLOCK_MAX, which is 2 * _B.
+    # _B is in pairs: up to _B + 1 normals take one block; 2 * _B + 3
+    # normals take a block of _B pairs and a 2-pair rest; 32 * _B + 1 and
+    # 48 * _B + 2 normals take 16 and 24 blocks of _B and a 1-pair rest;
+    # 4096 * 256 normals take blocks of numerics._GAUSSIAN_BLOCK_MAX, 2 * _B.
     @pytest.mark.parametrize("count", [
         0, 1, 2, 3, _B - 1, _B, _B + 1, 2 * _B + 3,
         41 * 256, 102 * 1024, 32 * _B + 1, 48 * _B + 2, 4096 * 256, 4096 * 256 + 1,
@@ -169,45 +169,6 @@ class TestSeededRng:
         s = SeededRng(5, 3).signs(100_000)
         assert set(np.unique(s)) == {-1.0, 1.0}
         assert abs(s.mean()) < 3.0 / math.sqrt(100_000)
-
-
-# Stream ids of a bundle: small, large, and one that is reduced mod 2^64.
-BUNDLE_IDS = [3, (2 << 40) + (256 << 24) + 17, 2**64 + 5]
-
-
-class TestStreamBundle:
-    @pytest.mark.parametrize("count", [0, 1, 2, 7, 2 * _B + 1, 41 * 256, 102 * 1024])
-    def test_bundled_gaussian_rows_match_each_stream_alone(self, count):
-        bundle = SeededRng(97531, BUNDLE_IDS)
-        alone = [SeededRng(97531, i) for i in BUNDLE_IDS]
-        for _ in range(2):  # the second draw starts where the first left the counter
-            rows = bundle.gaussian(count)
-            assert rows.shape == (len(BUNDLE_IDS), count)
-            for row, rng in zip(rows, alone):
-                assert row.tobytes() == rng.gaussian(count).tobytes()
-                assert rng._counter == bundle._counter
-
-    @pytest.mark.parametrize("method", ["uniform64", "random", "random_open", "signs"])
-    @pytest.mark.parametrize("count", [0, 1, 41])
-    def test_bundled_uniform_draws_match_each_stream_alone(self, method, count):
-        bundle = SeededRng(8191, BUNDLE_IDS)
-        alone = [SeededRng(8191, i) for i in BUNDLE_IDS]
-        bundle.gaussian(5)
-        for rng in alone:
-            rng.gaussian(5)
-        rows = getattr(bundle, method)(count)
-        assert rows.shape == (len(BUNDLE_IDS), count)
-        for row, rng in zip(rows, alone):
-            assert row.tobytes() == getattr(rng, method)(count).tobytes()
-            assert rng._counter == bundle._counter
-
-    def test_bundle_of_one_keeps_its_axis(self):
-        assert SeededRng(1, [4]).signs(3).shape == (1, 3)
-        assert SeededRng(1, 4).signs(3).shape == (3,)
-
-    def test_nested_ids_rejected(self):
-        with pytest.raises(ValueError, match="stream_id"):
-            SeededRng(1, [[1, 2]])
 
 
 class TestOneBlasThread:
@@ -280,61 +241,6 @@ class TestMinNormSolve:
         mat = rng.gaussian(5 * 3).reshape(5, 3)
         with pytest.raises(GramNotPositiveDefinite):
             min_norm_solve(mat, np.ones(5))
-
-
-class TestStackedMinNormSolve:
-    @staticmethod
-    def stack():
-        """Five 4-by-16 systems: entry 1 is ill-conditioned, entry 2 has a
-        zero row (LAPACK rejects its Gram matrix) and entry 3 a repeated
-        row (LAPACK factors it with a pivot below the floor)."""
-        rng = SeededRng(41, 0)
-        mat = rng.gaussian(5 * 4 * 16).reshape(5, 4, 16)
-        rhs = rng.gaussian(5 * 4).reshape(5, 4)
-        mat[1, 1] = mat[1, 0] + 1e-6 * rng.gaussian(16)
-        mat[2, 3] = 0.0
-        mat[3, 2] = mat[3, 0]
-        return mat, rhs
-
-    @staticmethod
-    def needs_refinement(mat, rhs) -> bool:
-        low = np.linalg.cholesky(mat @ mat.T)
-        p = mat.T @ np.linalg.solve(low.T, np.linalg.solve(low, rhs))
-        goal = 0.25 * LINSOLVE_TOL * max(1.0, np.linalg.norm(rhs))
-        return np.linalg.norm(rhs - mat @ p) > goal
-
-    def test_entries_match_solving_each_alone_bitwise(self):
-        mat, rhs = self.stack()
-        assert [self.needs_refinement(mat[i], rhs[i]) for i in (0, 1, 4)] == [False, True, False]
-        stacked = min_norm_solve(mat, rhs)
-        for i in (0, 1, 4):
-            assert stacked[i].tobytes() == min_norm_solve(mat[i], rhs[i]).tobytes()
-        residual = np.linalg.norm(mat[1] @ stacked[1] - rhs[1])
-        assert residual <= LINSOLVE_TOL * max(1.0, np.linalg.norm(rhs[1]))
-
-    def test_failed_gram_entries_are_nan_and_the_rest_solve(self):
-        mat, rhs = self.stack()
-        stacked = min_norm_solve(mat, rhs)
-        assert np.isnan(stacked).all(axis=1).tolist() == [False, False, True, True, False]
-        assert not np.isnan(stacked[[0, 1, 4]]).any()
-        with pytest.raises(GramNotPositiveDefinite, match="not positive definite"):
-            min_norm_solve(mat[2], rhs[2])
-        with pytest.raises(GramNotPositiveDefinite, match="below"):
-            min_norm_solve(mat[3], rhs[3])
-
-    def test_any_leading_shape(self):
-        mat, rhs = self.stack()
-        mat, rhs = mat[[0, 1, 4, 0]], rhs[[0, 1, 4, 0]]
-        flat = min_norm_solve(mat, rhs)
-        square = min_norm_solve(mat.reshape(2, 2, 4, 16), rhs.reshape(2, 2, 4))
-        assert square.shape == (2, 2, 16)
-        assert square.reshape(4, 16).tobytes() == flat.tobytes()
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="row count"):
-            min_norm_solve(np.ones((3, 2, 4)), np.ones((2, 2)))
-        with pytest.raises(ValueError, match="2-D"):
-            min_norm_solve(np.ones(4), np.ones(1))
 
 
 class TestSingularExtremes:

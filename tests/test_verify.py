@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from reprogram_lab import numerics, verify
-from reprogram_lab.data_models import BernoulliModel, random_hypercube_direction, sample_bernoulli
 from reprogram_lab.errors import (
     ExponentConditionViolated,
     GramNotPositiveDefinite,
@@ -19,9 +18,8 @@ from reprogram_lab.errors import (
     TieEncountered,
 )
 from reprogram_lab.gradient_flow import balanced_live_init
-from reprogram_lab.network import forward, random_init
 from reprogram_lab.numerics import SeededRng
-from reprogram_lab.reprogram import build_target_bias, construct_program
+from reprogram_lab.reprogram import build_target_bias
 from reprogram_lab.verify import (
     BOUND_C1,
     BOUND_C2,
@@ -135,6 +133,27 @@ class TestTheorem1Montecarlo:
         parallel = verdict_to_text(theorem1_montecarlo(WORKERS_T1, workers=workers))
         assert strip_runtime(serial) == strip_runtime(parallel)
 
+    def test_default_workers_thread_only_large_trials(self, monkeypatch):
+        threads = []
+
+        def recording_block(args):
+            threads.append(threading.get_ident())
+            return original_block(args)
+
+        original_block = verify._theorem1_block
+        monkeypatch.setattr(verify, "_theorem1_block", recording_block)
+        monkeypatch.setattr(verify, "available_cpus", lambda: 2)
+        assert WORKERS_T1.k * WORKERS_T1.d < verify._THREADS_MIN_WEIGHTS
+        expected = verdict_to_text(theorem1_montecarlo(WORKERS_T1))
+        assert set(threads) == {threading.get_ident()}
+        if numerics._openblas_thread_functions() is None:
+            pytest.skip("blocks run in the calling thread without a BLAS thread setter")
+        threads.clear()
+        monkeypatch.setattr(verify, "_THREADS_MIN_WEIGHTS", WORKERS_T1.k * WORKERS_T1.d)
+        got = verdict_to_text(theorem1_montecarlo(WORKERS_T1))
+        assert threading.get_ident() not in threads
+        assert strip_runtime(got) == strip_runtime(expected)
+
     def test_threads_are_kept_across_calls(self):
         theorem1_montecarlo(WORKERS_T1, workers=2)
         first = {t.ident for t in threading.enumerate() if t.name.startswith("trial-block")}
@@ -199,9 +218,8 @@ class TestTheorem1Montecarlo:
             d=16, k=7, rho=16**0.3, tau=0.5, gamma=0.01, gamma_dag=0.01, trials=10, seed=5,
         )
         clean = theorem1_montecarlo(cfg, workers=1).measured
-        stacks = fail_third_trial_of_first_stack(monkeypatch)
+        fail_third_construction(monkeypatch, GramNotPositiveDefinite)
         measured = theorem1_montecarlo(cfg, workers=1).measured
-        assert stacks[0] == (5, 7, 16)
         assert (clean["construction_errors"], clean["violations"], clean["accuracy"]) == (0, 0, 1.0)
         assert measured["construction_errors"] == 1
         assert measured["violations"] == 1
@@ -273,6 +291,24 @@ class TestCorollary1:
         k, _, _, _ = corollary1_parameters(3, 1.0, 0.0, 0.3)
         assert k == 3
 
+    def test_default_workers_are_chosen_per_dimension(self, monkeypatch):
+        if numerics._openblas_thread_functions() is None:
+            pytest.skip("blocks run in the calling thread without a BLAS thread setter")
+        threads = {16: set(), 32: set()}
+
+        def recording_block(args):
+            threads[args[3]].add(threading.get_ident())
+            return original_block(args)
+
+        original_block = verify._corollary1_block
+        monkeypatch.setattr(verify, "_corollary1_block", recording_block)
+        monkeypatch.setattr(verify, "available_cpus", lambda: 2)
+        k32 = corollary1_parameters(32, 2.0 / 3.0, 0.3, 0.2)[0]
+        monkeypatch.setattr(verify, "_THREADS_MIN_WEIGHTS", k32 * 32)  # above d = 16's
+        corollary1_sweep(2.0 / 3.0, 0.3, 0.2, (16, 32), trials=20, seed=5)
+        assert threads[16] == {threading.get_ident()}
+        assert threading.get_ident() not in threads[32]
+
     @pytest.mark.parametrize("workers", [1, 2, 3, None])
     def test_worker_count_does_not_change_results(self, workers):
         def sweep(workers):
@@ -311,9 +347,8 @@ class TestCorollary1:
             return verdict.measured
 
         clean = sweep()
-        stacks = fail_third_trial_of_first_stack(monkeypatch)
+        fail_third_construction(monkeypatch, TieEncountered)
         measured = sweep()
-        assert stacks[0] == (5, 7, 16)  # d = 16's first five trials, stacked
         assert (clean["construction_errors_d16"], clean["construction_errors_d32"]) == (0, 0)
         assert (measured["construction_errors_d16"], measured["construction_errors_d32"]) == (1, 0)
         assert clean["accuracy_d16"] == 1.0  # so the failed trial was a success
@@ -321,58 +356,19 @@ class TestCorollary1:
         assert measured["accuracy_d32"] == clean["accuracy_d32"]
 
 
-def fail_third_trial_of_first_stack(monkeypatch) -> list:
-    """Make the Gram matrix of the third trial in the first stack of trials
-    fail, by zeroing one of its rows before the solve; returns the list of
-    stack shapes that the solver is handed."""
-    solve = verify.min_norm_solve
-    stacks = []
+def fail_third_construction(monkeypatch, error) -> None:
+    """Make the third call to construct_program from the trial path raise
+    ``error``, one of the construction errors."""
+    calls = []
+    construct = verify.construct_program
 
-    def third_trial_fails(mat, rhs):
-        stacks.append(mat.shape)
-        if len(stacks) == 1:
-            mat = mat.copy()
-            mat[2, 0] = 0.0
-        return solve(mat, rhs)
+    def third_call_fails(net, direction):
+        calls.append(net)
+        if len(calls) == 3:
+            raise error("injected construction error")
+        return construct(net, direction)
 
-    monkeypatch.setattr(verify, "min_norm_solve", third_trial_fails)
-    return stacks
-
-
-class TestReprogramMargins:
-    @staticmethod
-    def one_trial(seed, stream_id, d, k, rho, tau):
-        """One trial at a time through the library's public steps."""
-        rng = SeededRng(seed, stream_id)
-        net = random_init(d, k, rng)
-        phi = random_hypercube_direction(d, rng)
-        try:
-            program = construct_program(net, phi)
-        except (TieEncountered, GramNotPositiveDefinite):
-            return np.nan
-        xs, ys = sample_bernoulli(BernoulliModel(phi, rho, tau), 1, rng)
-        return ys[0] * forward(net, program.offset + xs[0])
-
-    @pytest.mark.parametrize("d,k,trials", [
-        (64, 16, 12), (100, 22, 7), (256, 41, 7), (1024, 102, 2), (4096, 256, 2),
-    ])
-    def test_stacked_trials_match_one_at_a_time_bitwise(self, d, k, trials):
-        rho, tau = d**0.3, min(d**-0.2, 0.5)
-        ids = [(2 << 40) + (d << 24) + i for i in range(trials)]
-        got = verify._reprogram_margins(97531, ids, d, k, rho, tau)
-        expected = np.array([self.one_trial(97531, i, d, k, rho, tau) for i in ids])
-        assert got.tobytes() == expected.tobytes()
-
-    def test_tie_and_failed_gram_are_nan(self, monkeypatch):
-        ids = list(range(5))
-        clean = verify._reprogram_margins(3, ids, 16, 7, 2.0, 0.4)
-        monkeypatch.setattr(verify, "TIE_TOL", np.inf)  # every score ties
-        assert np.all(np.isnan(verify._reprogram_margins(3, ids, 16, 7, 2.0, 0.4)))
-        monkeypatch.undo()
-        fail_third_trial_of_first_stack(monkeypatch)
-        failed = verify._reprogram_margins(3, ids, 16, 7, 2.0, 0.4)
-        assert np.isnan(failed).tolist() == [False, False, True, False, False]
-        assert np.array_equal(np.delete(failed, 2), np.delete(clean, 2))
+    monkeypatch.setattr(verify, "construct_program", third_call_fails)
 
 
 class TestTheorem2Suite:
