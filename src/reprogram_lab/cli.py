@@ -36,7 +36,6 @@ from .reprogram import (
 from .verify import (
     Theorem1Config,
     appendix_a_suite,
-    available_cpus,
     corollary1_sweep,
     corollary2_suite,
     proposition_suite,
@@ -104,12 +103,6 @@ def _vector_text(vector: np.ndarray) -> str:
 # a file behind the configuration echo.  A suite's runner returns its
 # verdict; any other runner returns None.  Runners look suites up at call
 # time, so a rebound suite is the one that runs.
-
-
-def _theorem1(values: dict, write):
-    args = _suite_args(values)
-    workers = args.pop("workers")
-    return theorem1_montecarlo(Theorem1Config(**args), workers=workers)
 
 
 def _corollary1(values: dict, write):
@@ -204,8 +197,7 @@ _COMMANDS = {
         "gamma": ("float", 0.01),
         "gamma_dag": ("float", 0.01),
         "trials": ("int", 2000),
-        "workers": ("int", None),  # defaults to the available CPUs
-    }, _theorem1),
+    }, lambda values, write: theorem1_montecarlo(Theorem1Config(**_suite_args(values)))),
     "sweep-corollary1": ({
         **_COMMON,
         "eta_k": ("float", 2.0 / 3.0),
@@ -213,7 +205,6 @@ _COMMANDS = {
         "eta_tau": ("float", 0.2),
         "d_list": ("int_list", (256, 1024, 4096)),
         "trials": ("int", 2000),
-        "workers": ("int", None),  # defaults to the available CPUs
     }, _corollary1),
     "verify-theorem2": ({
         **_COMMON,
@@ -343,8 +334,6 @@ def parse_config(command: str, argv: list[str]) -> dict:
         env = os.environ.get(SEED_ENV_VAR)
         values["seed"] = int(env) if env else DEFAULT_SEED
 
-    if "workers" in schema and values["workers"] is None:
-        values["workers"] = available_cpus()
     if command == "verify-theorem1":
         if values["rho"] is None:
             values["rho"] = float(values["d"]) ** 0.3

@@ -7,9 +7,10 @@ failure bound for trained networks, and the singular-value / bias-vector
 facts behind the analytic program.  Every suite is deterministic given
 (config, seed): verdicts and all measured statistics replay bitwise.
 
-Statistical slack is uniformly three binomial standard errors.  A suite
-whose analytic threshold leaves the unit interval passes vacuously and
-says so (``vacuous`` flag) rather than being silently green.
+Statistical slack is three binomial standard errors on a rate, and two
+combined standard errors on corollary1's accuracy gap.  A suite whose
+analytic threshold leaves the unit interval passes vacuously and says so
+(``vacuous`` flag) rather than being silently green.
 """
 
 from __future__ import annotations
@@ -70,14 +71,14 @@ _BASE_COROLLARY2 = 4 << 40
 _BASE_PROPOSITION = 5 << 40
 _BASE_APPENDIX_A = 6 << 40
 
-_TRIAL_BLOCK = 5  # fixed sharding granularity, independent of worker count
-# With no worker count given, trials whose weight matrix holds fewer
-# entries (k * d) than this run in the calling thread: their numpy calls
-# are so short that trial threads spend more time handing the interpreter
-# lock to each other than they gain.  On 2 cores, two threads took 2.0
-# times one thread's time for corollary1's d = 256 trials (k * d = 10,496),
-# 1.2 to 1.3 times at d = 1024 (104,448), 0.8 to 1.0 times at d = 2048
-# (331,776) and 0.65 times at d = 4096, k = 256.
+_TRIAL_BLOCK = 5  # fixed sharding granularity, independent of thread count
+# Trials whose weight matrix holds fewer entries (k * d) than this run in
+# the calling thread: their numpy calls are so short that trial threads
+# spend more time handing the interpreter lock to each other than they
+# gain.  On 2 cores, two threads took 2.0 times one thread's time for
+# corollary1's d = 256 trials (k * d = 10,496), 1.2 to 1.3 times at
+# d = 1024 (104,448), 0.8 to 1.0 times at d = 2048 (331,776) and 0.65
+# times at d = 4096, k = 256.
 _THREADS_MIN_WEIGHTS = 1 << 18
 
 # Scale of the balanced initialisation of theorem2's and the
@@ -248,33 +249,23 @@ def _theorem1_block(args) -> tuple[int, int, int]:
 
 
 def available_cpus() -> int:
-    """CPUs this process may run on: the default worker count for large
-    trials."""
+    """CPUs this process may run on: the thread count for large trials."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without affinity masks
         return os.cpu_count() or 1
 
 
-def _resolve_workers(workers: int | None, weights: int) -> int:
-    """Threads for trials of ``weights`` first-layer weights each."""
-    if workers is None:
-        return available_cpus() if weights >= _THREADS_MIN_WEIGHTS else 1
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    return workers
-
-
 @functools.cache
-def _thread_pool(workers: int) -> ThreadPoolExecutor:
-    """A pool of ``workers`` threads kept for the life of the process.
+def _thread_pool() -> ThreadPoolExecutor:
+    """One thread per available CPU, kept for the life of the process.
 
     Fresh threads on every call would churn malloc arenas: a thread that
     starts before the previous call's threads have fully exited takes a
     new arena, and every arena keeps about one weight matrix of freed
     memory, which raised theorem1's peak RSS by about 10 MB at d = 4096.
     """
-    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="trial-block")
+    return ThreadPoolExecutor(max_workers=available_cpus(), thread_name_prefix="trial-block")
 
 
 # A forked child has none of the parent's pool threads.
@@ -282,22 +273,25 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_thread_pool.cache_clear)
 
 
-def _run_blocks(fn, blocks: list, workers: int) -> list:
-    """Run trial blocks on ``workers`` threads with BLAS held to one thread.
+def _run_blocks(fn, blocks: list, weights: int) -> list:
+    """Run blocks of trials that draw ``weights`` first-layer weights each,
+    with BLAS held to one thread.
 
-    A trial is numpy ufunc loops and LAPACK calls, which release the
-    interpreter lock, so blocks on threads share the cores.  Blocks have
-    fixed granularity, own their RNG streams and return integer counts,
-    so the aggregated result is identical for every worker count and
-    block order.  With BLAS at one thread the bits of each trial do not
-    depend on the machine's BLAS thread count either.  When the BLAS
-    thread count cannot be set, the blocks run in order in the calling
-    thread: threads over a multi-threaded BLAS were slower than that.
+    Trials of at least ``_THREADS_MIN_WEIGHTS`` weights run on one thread
+    per available CPU, smaller ones in the calling thread.  A trial is
+    numpy ufunc loops and LAPACK calls, which release the interpreter
+    lock, so blocks on threads share the cores.  Blocks have fixed
+    granularity, own their RNG streams and return integer counts, so the
+    aggregated result is identical for every thread count and block
+    order.  With BLAS at one thread the bits of each trial do not depend
+    on the machine's BLAS thread count either.  When the BLAS thread count
+    cannot be set, the blocks run in order in the calling thread: threads
+    over a multi-threaded BLAS were slower than that.
     """
     with one_blas_thread() as pinned:
-        if not pinned or workers == 1:
+        if not pinned or weights < _THREADS_MIN_WEIGHTS or available_cpus() == 1:
             return [fn(b) for b in blocks]
-        futures = [_thread_pool(workers).submit(fn, b) for b in blocks]
+        futures = [_thread_pool().submit(fn, b) for b in blocks]
         try:
             return [future.result() for future in futures]
         finally:
@@ -307,7 +301,7 @@ def _run_blocks(fn, blocks: list, workers: int) -> list:
             wait(futures)
 
 
-def theorem1_montecarlo(cfg: Theorem1Config, workers: int | None = None) -> SuiteVerdict:
+def theorem1_montecarlo(cfg: Theorem1Config) -> SuiteVerdict:
     """Monte-Carlo check of the random-network output bound.
 
     Each trial draws a fresh network, task direction, and labelled
@@ -319,13 +313,9 @@ def theorem1_montecarlo(cfg: Theorem1Config, workers: int | None = None) -> Suit
     it passes and is flagged as such.  ``rhs_positive`` reports whether
     the threshold itself is above zero; when it is not, a pass only says
     the outputs clear a negative number.  It is not part of the verdict.
-    ``workers`` threads run the trial blocks, by default one per
-    available CPU if a trial draws at least ``_THREADS_MIN_WEIGHTS``
-    weights (k * d) and one otherwise.
     """
     if cfg.trials < 1:
         raise ValueError("trials must be at least 1")
-    workers = _resolve_workers(workers, cfg.k * cfg.d)
     started = time.perf_counter()
     rhs = theorem1_rhs(cfg.d, cfg.k, cfg.rho, cfg.tau, cfg.gamma, cfg.gamma_dag)
     floor = (1.0 - BOUND_C1 * cfg.gamma) * (1.0 - cfg.gamma_dag)
@@ -340,7 +330,7 @@ def theorem1_montecarlo(cfg: Theorem1Config, workers: int | None = None) -> Suit
          cfg.d, cfg.k, cfg.rho, cfg.tau, rhs)
         for start in range(0, cfg.trials, _TRIAL_BLOCK)
     ]
-    results = _run_blocks(_theorem1_block, blocks, workers)
+    results = _run_blocks(_theorem1_block, blocks, cfg.k * cfg.d)
     violations = sum(r[0] for r in results)
     successes = sum(r[1] for r in results)
     errors = sum(r[2] for r in results)
@@ -417,7 +407,6 @@ def corollary1_sweep(
     d_list: tuple[int, ...],
     trials: int,
     seed: int,
-    workers: int | None = None,
 ) -> tuple[SuiteVerdict, list[dict]]:
     """Reprogrammed accuracy of the analytic program across dimensions.
 
@@ -427,10 +416,7 @@ def corollary1_sweep(
     construction error counts as a failed trial and is reported per d.
     ``d_list`` must be strictly increasing.  The verdict passes when
     accuracy at the largest d beats the smallest by more than two combined
-    standard errors, or both exceed 0.95.  ``workers`` threads run the
-    trial blocks; by default one per available CPU at each d whose trials
-    draw at least ``_THREADS_MIN_WEIGHTS`` weights (k * d), and one at
-    the others.
+    standard errors, or both exceed 0.95.
     """
     validate_exponents(eta_k, eta_rho, eta_tau)
     if len(d_list) < 2:
@@ -441,7 +427,6 @@ def corollary1_sweep(
         raise ValueError(f"d_list must be strictly increasing, got {tuple(d_list)}")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    _resolve_workers(workers, 0)  # reject a bad count before any trial runs
     started = time.perf_counter()
     rows = []
     for d in d_list:
@@ -450,7 +435,7 @@ def corollary1_sweep(
             (seed, start, min(_TRIAL_BLOCK, trials - start), d, k, rho, tau)
             for start in range(0, trials, _TRIAL_BLOCK)
         ]
-        results = _run_blocks(_corollary1_block, blocks, _resolve_workers(workers, k * d))
+        results = _run_blocks(_corollary1_block, blocks, k * d)
         accuracy = sum(r[0] for r in results) / trials
         rows.append(
             {
@@ -695,8 +680,7 @@ def proposition_suite(
         tag = "pos" if m == 1 else "neg"
         measured[f"bound_m_{tag}"] = bound
         programs = {"zero": np.zeros(d)}
-        scores = net.outputs * (net.weights @ phi)
-        unhelpful = np.flatnonzero(scores < -1e-12 * float(np.max(np.abs(scores))))
+        _, unhelpful = partition_neurons(net, phi)
         bias = build_target_bias(d, k, unhelpful)
         # eigenvalues of W Wᵀ above 1e-10 λmax are singular values above 1e-5 σmax
         programs["analytic"] = np.linalg.pinv(net.weights, rcond=1e-5) @ bias

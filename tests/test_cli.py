@@ -12,7 +12,6 @@ from reprogram_lab.cli import main, parse_config
 from reprogram_lab.errors import ConfigError
 from reprogram_lab.numerics import SeededRng
 from reprogram_lab.reprogram import ProgramImage, image_from_text, image_to_text
-from reprogram_lab.verify import available_cpus
 
 
 def run_cli(args):
@@ -70,8 +69,6 @@ class TestParseConfig:
         values = parse_config("verify-theorem1", [])
         assert values["rho"] == pytest.approx(4096**0.3)
         assert values["tau"] == pytest.approx(4096**-0.2)
-        assert values["workers"] == available_cpus()
-        assert parse_config("sweep-corollary1", [])["workers"] == available_cpus()
 
     def test_d_list_parsing(self):
         values = parse_config("sweep-corollary1", ["--d_list", "16,32,64"])
@@ -133,8 +130,6 @@ class TestExitCodes:
         ("verify-appendix-a", "partition_trials"),
         ("verify-appendix-a", "sv_trials"),
         ("verify-proposition", "trials"),
-        ("verify-theorem1", "workers"),
-        ("sweep-corollary1", "workers"),
     ])
     def test_zero_evidence_is_a_config_error(self, tmp_path, capsys, command, key):
         # a suite with no runs or no trials must neither pass nor crash
@@ -142,6 +137,14 @@ class TestExitCodes:
         assert code == 2
         assert "must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "out" / f"{command}.verdict.txt").exists()
+
+    @pytest.mark.parametrize("command", ["verify-theorem1", "sweep-corollary1"])
+    def test_workers_is_an_unknown_key(self, tmp_path, capsys, command):
+        # the suites choose their own trial threads
+        code = run_cli([command, "--workers", "2", "--output_dir", str(tmp_path / "out")])
+        assert code == 2
+        assert "unknown key 'workers'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command,args,key", [
         ("verify-theorem1", ["--d", "16", "--tau", "0.4", "--k", "0"], "k"),
@@ -222,13 +225,13 @@ class TestSuiteWiring:
     @pytest.mark.parametrize("command,args,call", [
         ("verify-theorem1",
          ["--d", "64", "--k", "8", "--rho", "3", "--tau", "0.4", "--gamma", "0.05",
-          "--trials", "20", "--workers", "1"],
+          "--trials", "20"],
          lambda: verify.theorem1_montecarlo(verify.Theorem1Config(
              d=64, k=8, rho=3.0, tau=0.4, gamma=0.05, gamma_dag=0.01, trials=20, seed=5,
-         ), workers=1)),
+         ))),
         ("sweep-corollary1",
-         ["--d_list", "16,32", "--trials", "20", "--eta_rho", "0.25", "--workers", "1"],
-         lambda: verify.corollary1_sweep(2.0 / 3.0, 0.25, 0.2, (16, 32), 20, 5, workers=1)[0]),
+         ["--d_list", "16,32", "--trials", "20", "--eta_rho", "0.25"],
+         lambda: verify.corollary1_sweep(2.0 / 3.0, 0.25, 0.2, (16, 32), 20, 5)[0]),
         ("verify-theorem2",
          ["--datasets", "2", "--k", "6", "--n_pos", "3", "--step_size", "0.002",
           "--max_steps", "5000"],

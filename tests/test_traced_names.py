@@ -41,7 +41,7 @@ def test_trial_block_tuples_keep_d_at_index_3(monkeypatch):
     cfg = verify.Theorem1Config(
         d=16, k=7, rho=16**0.3, tau=0.5, gamma=0.01, gamma_dag=0.01, trials=6, seed=1,
     )
-    verify.theorem1_montecarlo(cfg, workers=1)
-    verify.corollary1_sweep(2.0 / 3.0, 0.3, 0.2, (16, 32), trials=6, seed=1, workers=1)
+    verify.theorem1_montecarlo(cfg)
+    verify.corollary1_sweep(2.0 / 3.0, 0.3, 0.2, (16, 32), trials=6, seed=1)
     theorem1, corollary1 = "_theorem1_block", "_corollary1_block"
     assert seen == [(theorem1, 16)] * 2 + [(corollary1, 16)] * 2 + [(corollary1, 32)] * 2

@@ -1,6 +1,7 @@
 """Tests for the verification suites: closed forms, flag semantics,
 determinism, and small-scale passes of every suite."""
 
+import dataclasses
 import math
 import os
 import signal
@@ -58,6 +59,26 @@ def strip_runtime(text: str) -> str:
     return "\n".join(
         line for line in text.splitlines() if not line.startswith("runtime_seconds")
     )
+
+
+def drop_thread_pool() -> None:
+    """Shut the trial-thread pool down and forget it, so that the next
+    threaded call makes a pool of the CPU count it sees then."""
+    verify._thread_pool().shutdown()
+    verify._thread_pool.cache_clear()
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """``cpus(n)`` makes the suites see n available CPUs and run trials of
+    every size (``min_weights`` = 0 and up) on a fresh pool of that size."""
+    def use(count: int, min_weights: int = 0) -> None:
+        monkeypatch.setattr(verify, "available_cpus", lambda: count)
+        monkeypatch.setattr(verify, "_THREADS_MIN_WEIGHTS", min_weights)
+        drop_thread_pool()
+
+    yield use
+    drop_thread_pool()
 
 
 class TestBoundConstants:
@@ -127,13 +148,15 @@ class TestTheorem1Montecarlo:
         b = verdict_to_text(theorem1_montecarlo(SMALL_T1))
         assert strip_runtime(a) == strip_runtime(b)
 
-    @pytest.mark.parametrize("workers", [1, 2, 3, None])
-    def test_worker_count_does_not_change_results(self, workers):
-        serial = verdict_to_text(theorem1_montecarlo(WORKERS_T1, workers=1))
-        parallel = verdict_to_text(theorem1_montecarlo(WORKERS_T1, workers=workers))
-        assert strip_runtime(serial) == strip_runtime(parallel)
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_worker_count_does_not_change_results(self, cpus, count):
+        assert WORKERS_T1.k * WORKERS_T1.d < verify._THREADS_MIN_WEIGHTS
+        serial = verdict_to_text(theorem1_montecarlo(WORKERS_T1))  # the calling thread
+        cpus(count)
+        threaded = verdict_to_text(theorem1_montecarlo(WORKERS_T1))
+        assert strip_runtime(serial) == strip_runtime(threaded)
 
-    def test_default_workers_thread_only_large_trials(self, monkeypatch):
+    def test_default_workers_thread_only_large_trials(self, monkeypatch, cpus):
         threads = []
 
         def recording_block(args):
@@ -142,7 +165,7 @@ class TestTheorem1Montecarlo:
 
         original_block = verify._theorem1_block
         monkeypatch.setattr(verify, "_theorem1_block", recording_block)
-        monkeypatch.setattr(verify, "available_cpus", lambda: 2)
+        cpus(2, verify._THREADS_MIN_WEIGHTS)
         assert WORKERS_T1.k * WORKERS_T1.d < verify._THREADS_MIN_WEIGHTS
         expected = verdict_to_text(theorem1_montecarlo(WORKERS_T1))
         assert set(threads) == {threading.get_ident()}
@@ -154,20 +177,23 @@ class TestTheorem1Montecarlo:
         assert threading.get_ident() not in threads
         assert strip_runtime(got) == strip_runtime(expected)
 
-    def test_threads_are_kept_across_calls(self):
-        theorem1_montecarlo(WORKERS_T1, workers=2)
+    def test_threads_are_kept_across_calls(self, cpus):
+        cpus(2)
+        theorem1_montecarlo(WORKERS_T1)
         first = {t.ident for t in threading.enumerate() if t.name.startswith("trial-block")}
-        theorem1_montecarlo(WORKERS_T1, workers=2)
+        theorem1_montecarlo(WORKERS_T1)
         again = {t.ident for t in threading.enumerate() if t.name.startswith("trial-block")}
-        assert first and again == first
+        assert 0 < len(first) <= 2
+        assert again == first
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_runs_blocks_on_its_own_threads(self):
-        theorem1_montecarlo(WORKERS_T1, workers=2)  # the parent's pool exists
+    def test_forked_child_runs_blocks_on_its_own_threads(self, cpus):
+        cpus(2)
+        theorem1_montecarlo(WORKERS_T1)  # the parent's pool exists
         pid = os.fork()
         if pid == 0:
             try:
-                verdict = theorem1_montecarlo(WORKERS_T1, workers=2)
+                verdict = theorem1_montecarlo(WORKERS_T1)
                 os._exit(0 if verdict.measured["trials"] == 120 else 1)
             finally:
                 os._exit(2)
@@ -183,8 +209,9 @@ class TestTheorem1Montecarlo:
             time.sleep(0.05)
         assert os.waitstatus_to_exitcode(status) == 0
 
-    def test_without_blas_setter_blocks_run_serially_in_order(self, monkeypatch):
-        expected = verdict_to_text(theorem1_montecarlo(WORKERS_T1, workers=2))
+    def test_without_blas_setter_blocks_run_serially_in_order(self, monkeypatch, cpus):
+        cpus(2)
+        expected = verdict_to_text(theorem1_montecarlo(WORKERS_T1))
         calls = []
 
         def recording_block(args):
@@ -194,7 +221,7 @@ class TestTheorem1Montecarlo:
         original_block = verify._theorem1_block
         monkeypatch.setattr(numerics, "_openblas_thread_functions", lambda: None)
         monkeypatch.setattr(verify, "_theorem1_block", recording_block)
-        got = verdict_to_text(theorem1_montecarlo(WORKERS_T1, workers=2))
+        got = verdict_to_text(theorem1_montecarlo(WORKERS_T1))
         assert strip_runtime(got) == strip_runtime(expected)
         assert [start for start, _ in calls] == list(range(0, 120, verify._TRIAL_BLOCK))
         assert {ident for _, ident in calls} == {threading.get_ident()}
@@ -217,9 +244,9 @@ class TestTheorem1Montecarlo:
         cfg = Theorem1Config(
             d=16, k=7, rho=16**0.3, tau=0.5, gamma=0.01, gamma_dag=0.01, trials=10, seed=5,
         )
-        clean = theorem1_montecarlo(cfg, workers=1).measured
+        clean = theorem1_montecarlo(cfg).measured
         fail_third_construction(monkeypatch, GramNotPositiveDefinite)
-        measured = theorem1_montecarlo(cfg, workers=1).measured
+        measured = theorem1_montecarlo(cfg).measured
         assert (clean["construction_errors"], clean["violations"], clean["accuracy"]) == (0, 0, 1.0)
         assert measured["construction_errors"] == 1
         assert measured["violations"] == 1
@@ -291,7 +318,7 @@ class TestCorollary1:
         k, _, _, _ = corollary1_parameters(3, 1.0, 0.0, 0.3)
         assert k == 3
 
-    def test_default_workers_are_chosen_per_dimension(self, monkeypatch):
+    def test_default_workers_are_chosen_per_dimension(self, monkeypatch, cpus):
         if numerics._openblas_thread_functions() is None:
             pytest.skip("blocks run in the calling thread without a BLAS thread setter")
         threads = {16: set(), 32: set()}
@@ -302,22 +329,21 @@ class TestCorollary1:
 
         original_block = verify._corollary1_block
         monkeypatch.setattr(verify, "_corollary1_block", recording_block)
-        monkeypatch.setattr(verify, "available_cpus", lambda: 2)
         k32 = corollary1_parameters(32, 2.0 / 3.0, 0.3, 0.2)[0]
-        monkeypatch.setattr(verify, "_THREADS_MIN_WEIGHTS", k32 * 32)  # above d = 16's
+        cpus(2, k32 * 32)  # above d = 16's
         corollary1_sweep(2.0 / 3.0, 0.3, 0.2, (16, 32), trials=20, seed=5)
         assert threads[16] == {threading.get_ident()}
         assert threading.get_ident() not in threads[32]
 
-    @pytest.mark.parametrize("workers", [1, 2, 3, None])
-    def test_worker_count_does_not_change_results(self, workers):
-        def sweep(workers):
-            verdict, rows = corollary1_sweep(
-                2.0 / 3.0, 0.3, 0.2, (64, 128), trials=60, seed=77, workers=workers
-            )
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_worker_count_does_not_change_results(self, cpus, count):
+        def sweep():
+            verdict, rows = corollary1_sweep(2.0 / 3.0, 0.3, 0.2, (64, 128), trials=60, seed=77)
             return strip_runtime(verdict_to_text(verdict)), rows
 
-        assert sweep(workers) == sweep(1)
+        serial = sweep()  # small trials: the calling thread
+        cpus(count)
+        assert sweep() == serial
 
     def test_small_sweep_passes(self):
         # this config passed at all of seeds 1-40; (64, 256) at 150 trials
@@ -328,6 +354,19 @@ class TestCorollary1:
         assert [row["d"] for row in rows] == [256, 1024]
         assert verdict.passed
         assert verdict.measured["accuracy_d1024"] >= verdict.measured["accuracy_d256"] - 0.05
+
+    def test_fails_without_a_program(self, monkeypatch):
+        # With the program zeroed, this config failed at seeds 1, 2, 3 and
+        # 17, with a gap of at most 0.027 against about 0.058 needed.
+        construct = verify.construct_program
+
+        def zero_program(net, direction):
+            program = construct(net, direction)
+            return dataclasses.replace(program, offset=np.zeros_like(program.offset))
+
+        monkeypatch.setattr(verify, "construct_program", zero_program)
+        verdict, _ = corollary1_sweep(2.0 / 3.0, 0.3, 0.2, (256, 1024), trials=600, seed=17)
+        assert verdict.passed is False
 
     @pytest.mark.parametrize("d_list", [(1024, 256), (256, 256)], ids=["decreasing", "repeated"])
     def test_d_list_must_increase_before_any_trial(self, monkeypatch, d_list):
@@ -341,9 +380,7 @@ class TestCorollary1:
 
     def test_construction_error_counts_as_a_failed_trial(self, monkeypatch):
         def sweep():
-            verdict, _ = corollary1_sweep(
-                2.0 / 3.0, 0.3, 0.2, (16, 32), trials=10, seed=5, workers=1
-            )
+            verdict, _ = corollary1_sweep(2.0 / 3.0, 0.3, 0.2, (16, 32), trials=10, seed=5)
             return verdict.measured
 
         clean = sweep()
@@ -401,6 +438,18 @@ class TestCorollary2Suite:
         assert verdict.measured["log10_norm_growth"] >= 1.0
         assert verdict.measured["log10_final_loss"] <= -6.0
         assert not verdict.measured["inconclusive"]
+
+    def test_fails_with_margin_vectors_swapped(self, monkeypatch):
+        # every surviving neuron is then compared with the other sign's
+        # max-margin vector, which points the opposite way
+        report = verify.convergence_report
+        monkeypatch.setattr(
+            verify, "convergence_report",
+            lambda theta, v_pos, v_neg: report(theta, v_neg, v_pos),
+        )
+        verdict = corollary2_suite(seed=11)
+        assert verdict.passed is False
+        assert verdict.measured["min_cosine"] == pytest.approx(-1.0)
 
     def test_budget_exhaustion_is_inconclusive(self):
         verdict = corollary2_suite(seed=11, budget_steps=10)
