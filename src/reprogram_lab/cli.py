@@ -335,6 +335,8 @@ def parse_config(command: str, argv: list[str]) -> dict:
         values["seed"] = int(env) if env else DEFAULT_SEED
 
     if command == "verify-theorem1":
+        if not 1 <= values["d"] <= sys.float_info.max:
+            raise ConfigError(f"d must lie in [1, {sys.float_info.max:.3g}], got {values['d']}")
         if values["rho"] is None:
             values["rho"] = float(values["d"]) ** 0.3
         if values["tau"] is None:

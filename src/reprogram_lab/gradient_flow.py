@@ -9,6 +9,8 @@ total loss drops below the single-sample loss at margin zero (the point
 past which every training input is classified correctly).  Two trainers
 build on that step: one trains many runs to their first loss crossing as
 a stacked batch, and one follows the flow to its directional limit.
+Each trainer prepares the net's ``Kernel`` and its loss branch once per
+run (per chunk for the directional limit), then steps the weights in place.
 """
 
 from __future__ import annotations
@@ -20,10 +22,8 @@ import numpy as np
 
 from .data_models import LabeledDataset
 from .errors import LivenessExhausted, NonFiniteLoss
-from .network import TwoLayerNet, backward_pass, forward_pass
+from .network import Kernel, TwoLayerNet
 from .numerics import SeededRng
-
-LOSS_KINDS = ("exponential", "logistic")
 
 _INIT_RETRIES = 1000
 
@@ -61,6 +61,22 @@ class TrajectoryReport:
     final_loss: float = math.nan
 
 
+def _exponential(u):
+    value = np.exp(-u)  # overflows to inf, which the trainers catch
+    return value, -value
+
+
+def _logistic(u):
+    tail = np.exp(-np.abs(u))
+    soft, denom, nonneg = np.log1p(tail), 1.0 + tail, u >= 0.0
+    return np.where(nonneg, soft, -u + soft), np.where(nonneg, -tail / denom, -1.0 / denom)
+
+
+# loss kind -> (values, slopes) of the sample loss at an array of margins
+_LOSSES = {"exponential": _exponential, "logistic": _logistic}
+LOSS_KINDS = tuple(_LOSSES)
+
+
 def loss_value_and_derivative(kind: str, u):
     """Value and derivative of the sample loss at margin u.
 
@@ -70,17 +86,8 @@ def loss_value_and_derivative(kind: str, u):
     """
     if kind not in LOSS_KINDS:
         raise ValueError(f"loss kind must be one of {LOSS_KINDS}")
-    arr = np.asarray(u, dtype=np.float64)
-    if kind == "exponential":
-        with np.errstate(over="ignore"):  # inf is caught by the trainer
-            value = np.exp(-arr)
-        slope = -value
-    else:
-        tail = np.exp(-np.abs(arr))
-        soft = np.log1p(tail)
-        denom = 1.0 + tail
-        value = np.where(arr >= 0.0, soft, -arr + soft)
-        slope = np.where(arr >= 0.0, -tail / denom, -1.0 / denom)
+    with np.errstate(over="ignore"):
+        value, slope = _LOSSES[kind](np.asarray(u, dtype=np.float64))
     if np.isscalar(u):
         return float(value), float(slope)
     return value, slope
@@ -121,15 +128,9 @@ def balanced_live_init(
             continue
         w *= (scale / norms)[:, None]
         a = scale * rng.signs(k)
-        active = forward_pass(dataset.points, labels, w, a)[0]  # (n, k)
-        live = True
-        for s in (1.0, -1.0):
-            rows = labels == s
-            cols = np.sign(a) == s
-            if not np.any(active[rows][:, cols]):
-                live = False
-                break
-        if live:
+        kernel = Kernel(dataset.points, labels, w, a)
+        kernel.forward()  # for its active mask, (n, k)
+        if all(np.any(kernel.active[labels == s][:, np.sign(a) == s]) for s in (1.0, -1.0)):
             return TwoLayerNet(weights=w, outputs=a)
     raise LivenessExhausted(f"no live initialisation found in {_INIT_RETRIES} draws")
 
@@ -160,10 +161,9 @@ def train(
         raise ValueError("record_every must be >= 1")
     if theta0.d != dataset.d:
         raise ValueError("weight dimension does not match the dataset")
-    w = theta0.weights.copy()
-    a = theta0.outputs.copy()
-    xs = dataset.points
-    ys = dataset.labels
+    kernel = Kernel.for_run(dataset.points, dataset.labels, theta0.weights, theta0.outputs)
+    w, a = kernel.w, kernel.a
+    loss_of = _LOSSES[kind]
     ell0 = loss_value_and_derivative(kind, 0.0)[0]
     sign0 = np.sign(a)
     report = TrajectoryReport()
@@ -176,29 +176,26 @@ def train(
         report.min_margin_curve.append(float(np.min(margins)))
 
     step = 0
-    while True:
-        active, hidden, margins = forward_pass(xs, ys, w, a)
-        values, slopes = loss_value_and_derivative(kind, margins)
-        loss = float(np.sum(values))
-        if not math.isfinite(loss):
-            raise NonFiniteLoss(f"loss became non-finite at step {step}")
-        if report.crossed_margin_loss_at is None and loss < ell0:
-            report.crossed_margin_loss_at = step
-        done = step >= max_steps or loss <= stop_loss
-        if step % record_every == 0 or done:
-            record(step, loss, margins)
-        if done:
-            break
-        grad_w, grad_a = backward_pass(xs, a, active, hidden, slopes * ys)
-        grad_w *= step_size
-        grad_a *= step_size
-        w -= grad_w
-        a -= grad_a
-        if not report.sign_flip_detected and np.any(np.sign(a) != sign0):
-            report.sign_flip_detected = True
-        step += 1
+    with np.errstate(over="ignore"):
+        while True:
+            margins = kernel.forward()
+            values, slopes = loss_of(margins)
+            loss = float(np.add.reduce(values))
+            if not math.isfinite(loss):
+                raise NonFiniteLoss(f"loss became non-finite at step {step}")
+            if report.crossed_margin_loss_at is None and loss < ell0:
+                report.crossed_margin_loss_at = step
+            done = step >= max_steps or loss <= stop_loss
+            if step % record_every == 0 or done:
+                record(step, loss, margins)
+            if done:
+                break
+            kernel.step(slopes * kernel.ys, -step_size)
+            if not report.sign_flip_detected and np.count_nonzero(np.sign(a) != sign0):
+                report.sign_flip_detected = True
+            step += 1
 
-    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(a))):
+    if not np.isfinite(kernel.theta).all():
         raise NonFiniteLoss(f"weights became non-finite by step {step}")
     report.steps_run = step
     report.final_theta = TwoLayerNet(weights=w, outputs=a)
@@ -227,38 +224,40 @@ def train_to_crossing(
     _check_trainer(kind, step_size, max_steps)
     if not thetas:
         return [], np.empty(0)
-    xs = np.stack([data.points for data in datasets])
-    ys = np.stack([data.labels for data in datasets])
-    w = np.stack([theta.weights for theta in thetas])
-    a = np.stack([theta.outputs for theta in thetas])
+    kernel = Kernel.for_run(
+        np.stack([data.points for data in datasets]),
+        np.stack([data.labels for data in datasets]),
+        np.stack([theta.weights for theta in thetas]),
+        np.stack([theta.outputs for theta in thetas]),
+    )
+    loss_of = _LOSSES[kind]
     ell0 = loss_value_and_derivative(kind, 0.0)[0]
     runs = np.arange(len(thetas))  # original index of each batch row
     crossed_at: list[int | None] = [None] * len(thetas)
     min_margins = np.empty(len(thetas))
     step = 0
-    while True:
-        active, hidden, margins = forward_pass(xs, ys, w, a)
-        values, slopes = loss_value_and_derivative(kind, margins)
-        loss = np.sum(values, axis=-1)
-        if not np.all(np.isfinite(loss)):
-            raise NonFiniteLoss(f"loss became non-finite at step {step}")
-        crossed = loss < ell0
-        stop = crossed if step < max_steps else np.ones_like(crossed)
-        if np.any(stop):
+    with np.errstate(over="ignore"):
+        while True:
+            margins = kernel.forward()
+            values, slopes = loss_of(margins)
+            loss = np.add.reduce(values, axis=-1)
+            if not np.isfinite(loss).all():
+                raise NonFiniteLoss(f"loss became non-finite at step {step}")
+            crossed = loss < ell0
+            if step < max_steps and not crossed.any():
+                kernel.step(slopes * kernel.ys, -step_size)
+                step += 1
+                continue
+            stop = crossed if step < max_steps else np.ones_like(crossed)
             for run in runs[crossed]:
                 crossed_at[run] = step
             min_margins[runs[stop]] = np.min(margins[stop], axis=-1)
             keep = ~stop
-            if not np.any(keep):
+            if not keep.any():
                 break
-            runs, xs, ys, w, a = runs[keep], xs[keep], ys[keep], w[keep], a[keep]
-            active, hidden, slopes = active[keep], hidden[keep], slopes[keep]
-        grad_w, grad_a = backward_pass(xs, a, active, hidden, slopes * ys)
-        grad_w *= step_size
-        grad_a *= step_size
-        w -= grad_w
-        a -= grad_a
-        step += 1
+            # the runs left get a kernel of their own and repeat this step's forward pass
+            runs, xs, ys = runs[keep], kernel.xs[keep], kernel.ys[keep]
+            kernel = Kernel.for_run(xs, ys, kernel.w[keep], kernel.a[keep])
     return crossed_at, min_margins
 
 
@@ -267,24 +266,22 @@ def _rescaled_chunk(w, a, xs, ys, kind, step, steps):
     are not modified.  The per-sample gradient weights -l'(margin) are
     scaled by exp(min margin), so they stay exact however small the loss
     gets."""
-    w, a = w.copy(), a.copy()
+    kernel = Kernel.for_run(xs, ys, w, a)
+    logistic = kind == "logistic"
     for _ in range(steps):
-        active, hidden, margins = forward_pass(xs, ys, w, a)
-        weights = np.exp(margins.min() - margins)
-        if kind == "logistic":
+        margins = kernel.forward()
+        # min of Python floats: exact, without a numpy reduction's dispatch
+        weights = np.exp(min(margins.tolist()) - margins)
+        if logistic:
             weights /= 1.0 + np.exp(-margins)
-        grad_w, grad_a = backward_pass(xs, a, active, hidden, weights * ys)
-        grad_w *= step
-        grad_a *= step
-        w += grad_w
-        a += grad_a
-    return w, a
+        kernel.step(weights * ys, step)
+    return kernel.w, kernel.a
 
 
 def _log_loss(w, a, xs, ys, kind) -> float:
     """Log of the total loss, computed with margin shifting so that
     arbitrarily small losses stay exact."""
-    margins = forward_pass(xs, ys, w, a)[2]
+    margins = Kernel(xs, ys, w, a).forward()
     m_min = float(np.min(margins))
     rel = np.exp(m_min - margins)
     if kind == "logistic":
@@ -339,7 +336,7 @@ def train_to_directional_limit(
     start_log_norm = math.log(theta.norm())
     used = 0
     damping = 1.0
-    margins = forward_pass(xs, ys, theta.weights, theta.outputs)[2]
+    margins = Kernel(xs, ys, theta.weights, theta.outputs).forward()
     loss = float(np.sum(loss_value_and_derivative(kind, margins)[0]))
     while used < budget_steps and loss > target_loss:
         scale2 = float(np.max(np.sum(theta.weights**2, axis=1) + theta.outputs**2))

@@ -71,32 +71,55 @@ def random_init(d: int, k: int, rng: SeededRng) -> TwoLayerNet:
     return TwoLayerNet(weights=w, outputs=a)
 
 
-# The forward and backward pass of the net, written once for every caller.
-# Arrays may carry leading batch axes: xs (..., n, d), ys (..., n) or a
-# scalar, w (..., k, d), a (..., k); a 2-D call is the batch-free case.
-# Each stacked matmul runs the same BLAS call per batch entry as the 2-D
-# call, so a run gives the same bits alone and inside a batch.
+class Kernel:
+    """The net's forward and backward pass over fixed data, prepared once
+    per training run and then stepped.
 
-
-def forward_pass(xs, ys, w, a):
-    """Active mask (..., n, k), hidden outputs (..., n, k) and margins
-    y * N(x), shape (..., n)."""
-    pre = xs @ w.swapaxes(-1, -2)
-    active = pre > 0.0
-    hidden = np.where(active, pre, 0.0)
-    margins = ys * (hidden @ a[..., None])[..., 0]
-    return active, hidden, margins
-
-
-def backward_pass(xs, a, active, hidden, coeff):
-    """(grad_w, grad_a) of sum_i l(margin_i), given coeff_i = l'(margin_i) * y_i.
-
-    The ReLU's subgradient at an exact kink is taken as 0.
+    xs (..., n, d), ys (..., n) or a scalar, w (..., k, d), a (..., k).  A
+    stack of nets on a leading axis goes through ``np.matmul``, which makes
+    the BLAS call ``np.dot`` makes for one net: the same bits either way.
+    The constructor reads (w, a) in place; :meth:`for_run` copies them into
+    ``theta``, one flat [w.ravel(), a] per net, that :meth:`step` updates.
     """
-    grad_a = (hidden.swapaxes(-1, -2) @ coeff[..., None])[..., 0]
-    grad_w = (active * coeff[..., None]).swapaxes(-1, -2) @ xs
-    grad_w *= a[..., None]
-    return grad_w, grad_a
+
+    def __init__(self, xs, ys, w, a):
+        self.xs, self.ys, self.w, self.a = xs, ys, w, a
+        self._w_t = w.swapaxes(-1, -2)
+        self._a_col = a[..., None]
+        self._dot = np.dot if w.ndim == 2 else np.matmul
+
+    @classmethod
+    def for_run(cls, xs, ys, w, a) -> "Kernel":
+        """A kernel over a copy of (w, a) in ``theta``, which, like its
+        gradient buffer, is contiguous per net: every BLAS call sees the
+        memory layout that separate arrays give it."""
+        kd = w.shape[-2] * w.shape[-1]
+        theta = np.concatenate([w.reshape(*w.shape[:-2], kd), a], axis=-1)
+        kernel = cls(xs, ys, theta[..., :kd].reshape(w.shape), theta[..., kd:])
+        kernel.theta, kernel._grad = theta, np.empty_like(theta)
+        kernel._grad_w = kernel._grad[..., :kd].reshape(w.shape)
+        kernel._grad_a = kernel._grad[..., kd:].reshape(a.shape + (1,))
+        return kernel
+
+    def forward(self):
+        """Margins y * N(x), shape (..., n).  The active mask and the hidden
+        outputs, both (..., n, k), are kept for the next :meth:`step`."""
+        pre = self._dot(self.xs, self._w_t)
+        self.active = active = pre > 0.0
+        self.hidden = hidden = np.where(active, pre, 0.0)
+        return self.ys * self._dot(hidden, self._a_col)[..., 0]
+
+    def step(self, coeff, rate) -> None:
+        """Add ``rate`` * sum_i coeff_i * dN(x_i)/dtheta to theta, at the
+        last :meth:`forward`; coeff_i = l'(margin_i) * y_i makes the sum the
+        gradient of sum_i l(margin_i).  The ReLU's subgradient at an exact
+        kink is taken as 0."""
+        coeff = coeff[..., None]
+        self._dot(self.hidden.swapaxes(-1, -2), coeff, out=self._grad_a)
+        self._dot((self.active * coeff).swapaxes(-1, -2), self.xs, out=self._grad_w)
+        self._grad_w *= self._a_col
+        self._grad *= rate
+        self.theta += self._grad
 
 
 def forward(net: TwoLayerNet, x: np.ndarray) -> float:
@@ -104,7 +127,7 @@ def forward(net: TwoLayerNet, x: np.ndarray) -> float:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (net.d,):
         raise DimensionMismatch(f"input has shape {x.shape}, expected ({net.d},)")
-    return float(forward_pass(x[None, :], 1.0, net.weights, net.outputs)[2][0])
+    return float(Kernel(x[None, :], 1.0, net.weights, net.outputs).forward()[0])
 
 
 def forward_batch(net: TwoLayerNet, xs: np.ndarray) -> np.ndarray:
@@ -112,7 +135,7 @@ def forward_batch(net: TwoLayerNet, xs: np.ndarray) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != net.d:
         raise DimensionMismatch(f"batch has shape {xs.shape}, expected (n, {net.d})")
-    return forward_pass(xs, 1.0, net.weights, net.outputs)[2]
+    return Kernel(xs, 1.0, net.weights, net.outputs).forward()
 
 
 def network_to_text(net: TwoLayerNet) -> str:

@@ -19,7 +19,7 @@ import numpy as np
 from .data_models import BernoulliModel, sample_bernoulli
 from .errors import ChannelMismatch, TieEncountered, WidthExceedsDimension
 from .gradient_flow import loss_value_and_derivative
-from .network import TwoLayerNet, forward_batch, forward_pass
+from .network import Kernel, TwoLayerNet, forward_batch
 from .numerics import SeededRng, min_norm_solve
 
 TIE_TOL = 1e-14
@@ -271,11 +271,11 @@ def optimize_program(
     for _ in range(steps):
         xs, ys = sample_bernoulli(model, batch, rng)
         p = cap * q / (1.0 + np.abs(q))
-        active, _, margins = forward_pass(xs + p, m * ys, net.weights, net.outputs)
-        value, slope = loss_value_and_derivative("logistic", margins)
+        kernel = Kernel(xs + p, m * ys, net.weights, net.outputs)
+        value, slope = loss_value_and_derivative("logistic", kernel.forward())
         losses.append(float(np.mean(value)))
         d_out = slope * (m * ys) / batch
-        d_p = net.weights.T @ ((active * net.outputs[None, :]).T @ d_out)
+        d_p = net.weights.T @ ((kernel.active * net.outputs[None, :]).T @ d_out)
         d_q = d_p * cap / (1.0 + np.abs(q)) ** 2
         q -= lr * d_q
     return cap * q / (1.0 + np.abs(q)), losses

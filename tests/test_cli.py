@@ -149,6 +149,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("command,args,key", [
         ("verify-theorem1", ["--d", "16", "--tau", "0.4", "--k", "0"], "k"),
         ("verify-theorem1", ["--d", "16", "--tau", "0.4", "--k", "-1"], "k"),
+        ("verify-theorem1", ["--d", "0", "--k", "1"], "d"),
+        ("verify-theorem1", ["--d", "1" + "0" * 400, "--k", "1"], "d"),
         ("sweep-corollary1", ["--d_list", "0,256", "--trials", "10"], "d_list"),
         ("sweep-corollary1", ["--d_list", "1024,256", "--trials", "10"], "d_list"),
         ("sweep-corollary1", ["--d_list", "256,256", "--trials", "10"], "d_list"),
@@ -168,7 +170,8 @@ class TestExitCodes:
         ("verify-appendix-a", ["--sv_d", "8", "--sv_k", "16", "--partition_trials", "5",
                                "--sv_trials", "5"], "sv_k"),
     ], ids=[
-        "theorem1-k0", "theorem1-k-1", "corollary1-d0", "corollary1-decreasing",
+        "theorem1-k0", "theorem1-k-1", "theorem1-d0", "theorem1-d-above-float",
+        "corollary1-d0", "corollary1-decreasing",
         "corollary1-repeated", "appendix-a-gamma0",
         "appendix-a-gamma1", "theorem2-step-1", "theorem2-step0", "corollary2-target0",
         "corollary2-target-1", "proposition-target0", "corollary2-budget-5",

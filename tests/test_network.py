@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from reprogram_lab.errors import DimensionMismatch
+from reprogram_lab.gradient_flow import loss_value_and_derivative
 from reprogram_lab.network import (
+    Kernel,
     TwoLayerNet,
     forward,
     forward_batch,
@@ -95,6 +97,65 @@ class TestForward:
             net = random_init(d, k, SeededRng(9, i))
             outputs[i] = forward(net, x)
         assert abs(outputs.var() - 0.5) < 0.05
+
+
+def reference_forward_pass(xs, ys, w, a):
+    """The kernel's forward pass written out per call, with its views and
+    products built afresh: active mask, hidden outputs, margins."""
+    pre = xs @ w.swapaxes(-1, -2)
+    active = pre > 0.0
+    hidden = np.where(active, pre, 0.0)
+    margins = ys * (hidden @ a[..., None])[..., 0]
+    return active, hidden, margins
+
+
+def reference_backward_pass(xs, a, active, hidden, coeff):
+    grad_a = (hidden.swapaxes(-1, -2) @ coeff[..., None])[..., 0]
+    grad_w = (active * coeff[..., None]).swapaxes(-1, -2) @ xs
+    grad_w *= a[..., None]
+    return grad_w, grad_a
+
+
+def descent_problem(seed, stack):
+    """Inputs, labels and parameters of ``stack`` runs (one unstacked run
+    when stack is None) with n = 6, d = 5, k = 4."""
+    lead = () if stack is None else (stack,)
+    rng = SeededRng(12, seed)
+    xs = rng.gaussian(math.prod(lead) * 30).reshape(*lead, 6, 5)
+    ys = rng.signs(math.prod(lead) * 6).reshape(*lead, 6)
+    w = 0.5 * rng.gaussian(math.prod(lead) * 20).reshape(*lead, 4, 5)
+    a = 0.5 * rng.signs(math.prod(lead) * 4).reshape(*lead, 4)
+    return xs, ys, w, a
+
+
+class TestKernel:
+    @pytest.mark.parametrize("kind", ["exponential", "logistic"])
+    @pytest.mark.parametrize("stack", [None, 5])
+    def test_descent_matches_reference_bitwise(self, kind, stack):
+        # rows 1 and 3 of the stack leave at step 150, as runs leave a
+        # stacked trainer once they are done
+        xs, ys, w, a = descent_problem(stack or 0, stack)
+        ref_w, ref_a = w.copy(), a.copy()
+        kernel = Kernel.for_run(xs, ys, w, a)
+        for step in range(300):
+            if stack and step == 150:
+                keep = np.array([True, False, True, False, True])
+                xs, ys, ref_w, ref_a = xs[keep], ys[keep], ref_w[keep], ref_a[keep]
+                kernel = Kernel.for_run(xs, ys, kernel.w[keep], kernel.a[keep])
+            margins = kernel.forward()
+            active, hidden, ref_margins = reference_forward_pass(xs, ys, ref_w, ref_a)
+            assert margins.tobytes() == ref_margins.tobytes()
+            assert kernel.active.tobytes() == active.tobytes()
+            assert kernel.hidden.tobytes() == hidden.tobytes()
+            _, slopes = loss_value_and_derivative(kind, margins)
+            kernel.step(slopes * ys, -1e-2)
+            grad_w, grad_a = reference_backward_pass(xs, ref_a, active, hidden, slopes * ys)
+            grad_w *= 1e-2
+            grad_a *= 1e-2
+            ref_w -= grad_w
+            ref_a -= grad_a
+            assert kernel.w.tobytes() == ref_w.tobytes()
+            assert kernel.a.tobytes() == ref_a.tobytes()
 
 
 def test_norm_covers_both_layers():

@@ -18,7 +18,9 @@ from reprogram_lab.errors import (
     HypothesisViolated,
     TieEncountered,
 )
+from reprogram_lab.data_models import LabeledDataset
 from reprogram_lab.gradient_flow import balanced_live_init
+from reprogram_lab.network import TwoLayerNet
 from reprogram_lab.numerics import SeededRng
 from reprogram_lab.reprogram import build_target_bias
 from reprogram_lab.verify import (
@@ -428,6 +430,25 @@ class TestTheorem2Suite:
         assert not verdict.passed
         assert verdict.measured["crossings"] == 0
 
+    def test_fails_when_a_point_carries_both_labels(self, monkeypatch):
+        # l(u) + l(-u) >= 2 l(0) > l(0), so no run can ever cross; the runs
+        # leave the stacked trainer only when the step budget is spent
+        generate = verify.generate_orthosep
+
+        def repeated_point(d, n_pos, n_neg, rng):
+            data = generate(d, n_pos, n_neg, rng)
+            points = data.points.copy()
+            points[-1] = points[0]
+            return LabeledDataset(points, data.labels)
+
+        monkeypatch.setattr(verify, "generate_orthosep", repeated_point)
+        verdict = theorem2_suite(
+            n_datasets=3, d=2, k=4, n_pos=2, n_neg=2, step_size=1e-2, max_steps=3000, seed=7,
+        )
+        assert verdict.passed is False
+        assert verdict.measured["runs"] == 6
+        assert verdict.measured["crossings"] == 0
+
 
 class TestCorollary2Suite:
     def test_four_point_run_passes_all_checks(self):
@@ -554,6 +575,18 @@ class TestPropositionSuite:
         for key, limit in verdict.threshold.items():
             assert verdict.measured[key] <= limit
 
+    def test_fails_on_an_untrained_net(self, monkeypatch):
+        # The bound is about trained nets; a random net can be reprogrammed.
+        # Over seeds 1-12 this config failed at 1, 2, 3, 5, 7, 9, 10 and 12;
+        # seed 3 failed by the widest excess, 0.20 over its limit.
+        monkeypatch.setattr(
+            verify, "train_to_directional_limit",
+            lambda theta0, *args, **kwargs: (theta0, 0, 0.0, 0.0, 0),
+        )
+        verdict = proposition_suite(seed=3, trials=4000, opt_steps=100)
+        assert verdict.passed is False
+        assert verdict.measured["train_steps"] == 0
+
     @pytest.mark.parametrize("rank,tail", [(2, 0.0), (2, 1e-6), (8, 0.0)])
     def test_pseudo_inverse_program_matches_eigh_reference(self, rank, tail):
         # the analytic program of a trained (rank-deficient) network is
@@ -596,6 +629,36 @@ class TestAppendixASuite:
         assert verdict.measured["sv_failure_rate"] <= verdict.threshold["sv_failure_rate"]
         # at the default sv_d = 1024, sv_k = 32 the lower bound has teeth
         assert verdict.measured["sv_lower_bound_positive"] is True
+
+    def test_fails_with_rows_too_long(self, monkeypatch):
+        # rows drawn at 1.1/sqrt(d) put s_max above the bound: over seeds
+        # 1-12 the failure rate was 0.485-0.595 against a limit of 0.031
+        init = verify.random_init
+
+        def long_rows(d, k, rng):
+            net = init(d, k, rng)
+            return TwoLayerNet(1.1 * net.weights, net.outputs)
+
+        monkeypatch.setattr(verify, "random_init", long_rows)
+        verdict = appendix_a_suite(seed=1, partition_trials=200, sv_trials=200)
+        assert verdict.passed is False
+        assert verdict.measured["sv_failure_rate"] > verdict.threshold["sv_failure_rate"]
+
+    def test_fails_with_neurons_unhelpful_at_rate_045(self, monkeypatch):
+        # P(no unhelpful neuron) is then 0.55^k, not 2^-k; over seeds s = 1-12,
+        # with coins from stream 99 of s, the k = 4 rate was off by
+        # 0.020-0.036, against a slack of 0.016
+        coins = SeededRng(1, 99)
+
+        def biased_partition(net, direction):
+            unhelpful = coins.random(net.k) < 0.45
+            return np.flatnonzero(~unhelpful), np.flatnonzero(unhelpful)
+
+        monkeypatch.setattr(verify, "partition_neurons", biased_partition)
+        verdict = appendix_a_suite(seed=1, partition_trials=2000, sv_d=64, sv_k=8, sv_trials=20)
+        assert verdict.passed is False
+        key = "empty_rate_error_k4"
+        assert verdict.measured[key] > verdict.threshold[key]
 
     def test_deterministic_replay(self):
         a = verdict_to_text(appendix_a_suite(seed=42, partition_trials=500, sv_trials=40))
