@@ -24,6 +24,7 @@ from .gradient_flow import balanced_live_init, train, trajectory_to_csv
 from .network import network_to_text, random_init
 from .numerics import SeededRng
 from .reprogram import (
+    ascii_int,
     construct_program,
     image_from_ppm,
     image_from_text,
@@ -47,8 +48,6 @@ from .verify import (
 SEED_ENV_VAR = "REPROGRAM_LAB_SEED"
 DEFAULT_SEED = 97531
 
-_REQUIRED = object()
-
 
 def _parse_bool(text: str) -> bool:
     low = text.strip().lower()
@@ -63,35 +62,41 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     parts = text.split(",")
     if not all(part.strip() for part in parts):
         raise ValueError(f"malformed integer list {text!r}: an entry is empty")
-    return tuple(int(part) for part in parts)
+    return tuple(ascii_int(part.strip()) for part in parts)
 
 
+# annotation -> parser; every module postpones annotations, so an
+# annotation is its source text
 _PARSERS = {
-    "int": int,
-    "float": float,
-    "str": str,
-    "bool": _parse_bool,
-    "int_list": _parse_int_list,
+    "int": ascii_int, "float": float, "float | None": float, "str": str, "bool": _parse_bool,
+    "tuple[int, ...]": _parse_int_list,
 }
 
-# key -> (type name, default).  _REQUIRED marks keys the user must give.
+# key -> (type, default), shared by every command
 _COMMON = {
     "seed": ("int", None),  # resolved from the environment fallback when absent
     "output_dir": ("str", "runs"),
 }
 
 
-def _suite_schema(suite, *keys: str) -> dict:
-    """Schema entries for keyword parameters of ``suite``: each key's type
-    is its annotation and its default the suite's own default."""
-    params = inspect.signature(suite, eval_str=True).parameters
-    return {key: (params[key].annotation.__name__, params[key].default) for key in keys}
+def _command(fn, *keys: str) -> tuple[dict, object]:
+    """(schema, runner) of a command that runs ``fn``.
 
+    The keys are ``keys``, or else every parameter of ``fn`` but
+    ``write`` and the common keys.  A key's type is its annotation and
+    its default is ``fn``'s; a key with no default is required.  The
+    runner passes ``fn`` the resolved values and ``write`` that it names,
+    looking ``fn`` up by name, so a rebound function is the one that runs.
+    """
+    params = inspect.signature(fn).parameters
+    keys = keys or [key for key in params if key not in (*_COMMON, "write")]
+    schema = {**_COMMON, **{key: (params[key].annotation, params[key].default) for key in keys}}
 
-def _suite_args(values: dict) -> dict:
-    """The resolved values as the keyword arguments of a suite whose
-    parameters are named like its keys."""
-    return {key: value for key, value in values.items() if key != "output_dir"}
+    def runner(values: dict, write):
+        given = {**values, "write": write}
+        return globals()[fn.__name__](**{key: given[key] for key in params if key in given})
+
+    return schema, runner
 
 
 def _vector_text(vector: np.ndarray) -> str:
@@ -99,14 +104,23 @@ def _vector_text(vector: np.ndarray) -> str:
     return head + " ".join(format(v, ".17g") for v in vector) + "\n"
 
 
-# A runner takes the resolved values and write(name, text), which writes
-# a file behind the configuration echo.  A suite's runner returns its
-# verdict; any other runner returns None.  Runners look suites up at call
-# time, so a rebound suite is the one that runs.
+# Each function below runs one command; write(name, text) writes a file
+# behind the configuration echo.  Those of suite commands return the
+# verdict, the others None.
 
 
-def _corollary1(values: dict, write):
-    verdict, rows = corollary1_sweep(**_suite_args(values))
+def _theorem1(
+    seed: int, d: int = 4096, k: int = 256, rho: float | None = None, tau: float | None = None,
+    gamma: float = 0.01, gamma_dag: float = 0.01, trials: int = 2000,
+):  # parse_config resolves a missing rho to d^0.3 and tau to d^-0.2
+    return theorem1_montecarlo(Theorem1Config(d, k, rho, tau, gamma, gamma_dag, trials, seed))
+
+
+def _corollary1(
+    write, seed: int, eta_k: float = 2.0 / 3.0, eta_rho: float = 0.3, eta_tau: float = 0.2,
+    d_list: tuple[int, ...] = (256, 1024, 4096), trials: int = 2000,
+):
+    verdict, rows = corollary1_sweep(eta_k, eta_rho, eta_tau, d_list, trials, seed)
     csv_lines = ["d,k,rho,tau,tau_clamped,accuracy,stderr"]
     for row in rows:
         csv_lines.append(
@@ -117,17 +131,17 @@ def _corollary1(values: dict, write):
     return verdict
 
 
-def _theorem2(values: dict, write):
-    return theorem2_suite(
-        values["datasets"], values["d"], values["k"], values["n_pos"],
-        values["n_neg"], values["step_size"], values["max_steps"], values["seed"],
-    )
+def _theorem2(
+    seed: int, datasets: int = 50, d: int = 2, k: int = 4, n_pos: int = 2, n_neg: int = 2,
+    step_size: float = 1e-3, max_steps: int = 1_000_000,
+):
+    return theorem2_suite(datasets, d, k, n_pos, n_neg, step_size, max_steps, seed)
 
 
-def _construct_program(values: dict, write) -> None:
-    rng = SeededRng(values["seed"], 0)
-    net = random_init(values["d"], values["k"], rng)
-    phi = random_hypercube_direction(values["d"], rng)
+def _construct_program(write, seed: int, d: int = 256, k: int = 32) -> None:
+    rng = SeededRng(seed, 0)
+    net = random_init(d, k, rng)
+    phi = random_hypercube_direction(d, rng)
     program = construct_program(net, phi)
     write("network.txt", network_to_text(net))
     write("program.txt", _vector_text(program.offset))
@@ -139,27 +153,31 @@ def _construct_program(values: dict, write) -> None:
     ))
 
 
-def _optimize_program(values: dict, write) -> None:
-    rng = SeededRng(values["seed"], 0)
-    net = random_init(values["d"], values["k"], rng)
-    phi = random_hypercube_direction(values["d"], rng)
-    model = BernoulliModel(direction=phi, radius=values["rho"], bias=values["tau"])
-    offset, losses = optimize_program(
-        net, model, values["m"], values["steps"], values["lr"], values["batch"], rng,
-    )
+def _optimize_program(
+    write, seed: int, d: int = 64, k: int = 8, rho: float = 8.0, tau: float = 0.4, m: int = 1,
+    steps: int = 300, lr: float = 0.01, batch: int = 64,
+) -> None:
+    rng = SeededRng(seed, 0)
+    net = random_init(d, k, rng)
+    phi = random_hypercube_direction(d, rng)
+    model = BernoulliModel(direction=phi, radius=rho, bias=tau)
+    offset, losses = optimize_program(net, model, m, steps, lr, batch, rng)
     write("program.txt", _vector_text(offset))
     write("loss_curve.csv", "step,loss\n" + "\n".join(
         f"{i},{v:.17g}" for i, v in enumerate(losses)
     ) + "\n")
 
 
-def _train_flow(values: dict, write) -> None:
-    seed = values["seed"]
-    dataset = generate_orthosep(values["d"], values["n_pos"], values["n_neg"], SeededRng(seed, 0))
-    theta0 = balanced_live_init(dataset, values["k"], values["init_scale"], SeededRng(seed, 1))
+def _train_flow(
+    write, seed: int, d: int = 2, n_pos: int = 2, n_neg: int = 2, k: int = 4,
+    init_scale: float = 0.5, loss_kind: str = "exponential", step_size: float = 1e-3,
+    max_steps: int = 100_000, stop_loss: float = 0.0, record_every: int = 100,
+) -> None:
+    dataset = generate_orthosep(d, n_pos, n_neg, SeededRng(seed, 0))
+    theta0 = balanced_live_init(dataset, k, init_scale, SeededRng(seed, 1))
     report = train(
-        theta0, dataset, values["loss_kind"], values["step_size"], values["max_steps"],
-        stop_loss=values["stop_loss"], record_every=values["record_every"],
+        theta0, dataset, loss_kind, step_size, max_steps,
+        stop_loss=stop_loss, record_every=record_every,
     )
     write("trajectory.csv", trajectory_to_csv(report))
     write("final_weights.txt", network_to_text(report.final_theta))
@@ -172,107 +190,43 @@ def _train_flow(values: dict, write) -> None:
     ))
 
 
-def _combine_image(values: dict, write) -> None:
-    program = _read_image(values["program_file"])
-    image = _read_image(values["image_file"])
-    if values["scheme"] == 1:
-        combined = scheme1_combine(program, image, values["amount"])
-    elif values["scheme"] == 2:
-        combined = scheme2_combine(program, image, values["amount"])
+def _combine_image(
+    write, output_dir: str, *, scheme: int = 2, amount: float, program_file: str,
+    image_file: str, write_ppm: bool = False,
+) -> None:
+    program = _read_image(program_file)
+    image = _read_image(image_file)
+    if scheme == 1:
+        combined = scheme1_combine(program, image, amount)
+    elif scheme == 2:
+        combined = scheme2_combine(program, image, amount)
     else:
         raise ConfigError("key 'scheme': must be 1 or 2")
     write("combined.txt", image_to_text(combined))
-    if values["write_ppm"]:
-        (Path(values["output_dir"]) / "combined.ppm").write_bytes(image_to_ppm(combined))
+    if write_ppm:
+        (Path(output_dir) / "combined.ppm").write_bytes(image_to_ppm(combined))
 
 
 # command -> (schema, runner)
 _COMMANDS = {
-    "verify-theorem1": ({
-        **_COMMON,
-        "d": ("int", 4096),
-        "k": ("int", 256),
-        "rho": ("float", None),    # defaults to d^0.3
-        "tau": ("float", None),    # defaults to d^-0.2
-        "gamma": ("float", 0.01),
-        "gamma_dag": ("float", 0.01),
-        "trials": ("int", 2000),
-    }, lambda values, write: theorem1_montecarlo(Theorem1Config(**_suite_args(values)))),
-    "sweep-corollary1": ({
-        **_COMMON,
-        "eta_k": ("float", 2.0 / 3.0),
-        "eta_rho": ("float", 0.3),
-        "eta_tau": ("float", 0.2),
-        "d_list": ("int_list", (256, 1024, 4096)),
-        "trials": ("int", 2000),
-    }, _corollary1),
-    "verify-theorem2": ({
-        **_COMMON,
-        "datasets": ("int", 50),
-        "d": ("int", 2),
-        "k": ("int", 4),
-        "n_pos": ("int", 2),
-        "n_neg": ("int", 2),
-        "step_size": ("float", 1e-3),
-        "max_steps": ("int", 1_000_000),
-    }, _theorem2),
-    "verify-corollary2": ({
-        **_COMMON,
-        **_suite_schema(
-            corollary2_suite, "k", "init_scale", "loss_kind", "target_loss", "budget_steps",
-        ),
-    }, lambda values, write: corollary2_suite(**_suite_args(values))),
-    "verify-proposition": ({
-        **_COMMON,
-        **_suite_schema(
-            proposition_suite, "d", "tau", "trials", "k", "n_pos", "n_neg", "loss_kind",
-            "target_loss", "opt_steps", "opt_lr", "opt_batch",
-        ),
-    }, lambda values, write: proposition_suite(**_suite_args(values))),
-    "verify-appendix-a": ({
-        **_COMMON,
-        **_suite_schema(
-            appendix_a_suite, "partition_d", "partition_trials", "sv_d", "sv_k", "sv_gamma",
-            "sv_trials",
-        ),
-    }, lambda values, write: appendix_a_suite(**_suite_args(values))),
-    "construct-program": ({
-        **_COMMON,
-        "d": ("int", 256),
-        "k": ("int", 32),
-    }, _construct_program),
-    "optimize-program": ({
-        **_COMMON,
-        "d": ("int", 64),
-        "k": ("int", 8),
-        "rho": ("float", 8.0),
-        "tau": ("float", 0.4),
-        "m": ("int", 1),
-        "steps": ("int", 300),
-        "lr": ("float", 0.01),
-        "batch": ("int", 64),
-    }, _optimize_program),
-    "train-flow": ({
-        **_COMMON,
-        "d": ("int", 2),
-        "n_pos": ("int", 2),
-        "n_neg": ("int", 2),
-        "k": ("int", 4),
-        "init_scale": ("float", 0.5),
-        "loss_kind": ("str", "exponential"),
-        "step_size": ("float", 1e-3),
-        "max_steps": ("int", 100_000),
-        "stop_loss": ("float", 0.0),
-        "record_every": ("int", 100),
-    }, _train_flow),
-    "combine-image": ({
-        **_COMMON,
-        "scheme": ("int", 2),
-        "amount": ("float", _REQUIRED),
-        "program_file": ("str", _REQUIRED),
-        "image_file": ("str", _REQUIRED),
-        "write_ppm": ("bool", False),
-    }, _combine_image),
+    "verify-theorem1": _command(_theorem1),
+    "sweep-corollary1": _command(_corollary1),
+    "verify-theorem2": _command(_theorem2),
+    "verify-corollary2": _command(
+        corollary2_suite, "k", "init_scale", "loss_kind", "target_loss", "budget_steps",
+    ),
+    "verify-proposition": _command(
+        proposition_suite, "d", "tau", "trials", "k", "n_pos", "n_neg", "loss_kind",
+        "target_loss", "opt_steps", "opt_lr", "opt_batch",
+    ),
+    "verify-appendix-a": _command(
+        appendix_a_suite, "partition_d", "partition_trials", "sv_d", "sv_k", "sv_gamma",
+        "sv_trials",
+    ),
+    "construct-program": _command(_construct_program),
+    "optimize-program": _command(_optimize_program),
+    "train-flow": _command(_train_flow),
+    "combine-image": _command(_combine_image),
 }
 
 
@@ -317,22 +271,22 @@ def parse_config(command: str, argv: list[str]) -> dict:
     for key, raw in file_pairs + pairs:  # command line wins over file
         if key not in schema:
             raise ConfigError(f"unknown key {key!r} for command {command!r}")
-        type_name = schema[key][0]
         try:
-            values[key] = _PARSERS[type_name](raw)
+            values[key] = _PARSERS[schema[key][0]](raw)
         except ValueError as exc:
             raise ConfigError(f"key {key!r}: {exc}") from exc
 
     for key, (_, default) in schema.items():
-        if key in values:
-            continue
-        if default is _REQUIRED:
+        if default is inspect.Parameter.empty and key not in values:
             raise ConfigError(f"missing required key {key!r} for command {command!r}")
-        values[key] = default
+        values.setdefault(key, default)
 
     if values.get("seed") is None:
         env = os.environ.get(SEED_ENV_VAR)
-        values["seed"] = int(env) if env else DEFAULT_SEED
+        try:
+            values["seed"] = ascii_int(env) if env else DEFAULT_SEED
+        except ValueError as exc:
+            raise ConfigError(f"{SEED_ENV_VAR}: {exc}") from exc
 
     if command == "verify-theorem1":
         if not 1 <= values["d"] <= sys.float_info.max:

@@ -324,7 +324,8 @@ def train_to_directional_limit(
     ln(norm(theta_final)/norm(theta0)) accounting for every intermediate
     rescale; direction_period is the number of chunks back to the
     direction that matched, or 0 when a budget or the damping floor
-    ended the loop.
+    ended the loop.  Raises :class:`NonFiniteLoss` if the initial loss is
+    not finite, since phase one's step would then be 0.
     """
     if target_loss <= 0.0:
         raise ValueError("target_loss must be positive")
@@ -338,6 +339,8 @@ def train_to_directional_limit(
     damping = 1.0
     margins = Kernel(xs, ys, theta.weights, theta.outputs).forward()
     loss = float(np.sum(loss_value_and_derivative(kind, margins)[0]))
+    if not math.isfinite(loss):
+        raise NonFiniteLoss(f"initial loss is {loss}: the initialisation is too large")
     while used < budget_steps and loss > target_loss:
         scale2 = float(np.max(np.sum(theta.weights**2, axis=1) + theta.outputs**2))
         step = damping * 0.5 / (loss * (1.0 + scale2 * max_x2))

@@ -315,14 +315,22 @@ def image_to_ppm(image: ProgramImage) -> bytes:
     return header + bytes8.tobytes()
 
 
-def _header_int(fmt: str, name: str, token) -> int:
-    """A header field that must be an integer of at least 1, written in
-    ASCII digits (a minus sign is read, then rejected as below 1)."""
-    text = token.decode("latin-1") if isinstance(token, bytes) else token
+def ascii_int(text: str) -> int:
+    """An integer in ASCII digits with an optional leading minus sign; not
+    the other scripts' digits, underscores, plus sign or spaces of ``int``."""
     digits = text[1:] if text.startswith("-") else text
     if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"{fmt} {name} must be an integer, got {token!r}")
-    value = int(text)
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
+def _header_int(fmt: str, name: str, token) -> int:
+    """A header field that must be an integer of at least 1 (a minus sign
+    is read, then rejected as below 1)."""
+    try:
+        value = ascii_int(token.decode("latin-1") if isinstance(token, bytes) else token)
+    except ValueError:
+        raise ValueError(f"{fmt} {name} must be an integer, got {token!r}") from None
     if value < 1:
         raise ValueError(f"{fmt} {name} must be at least 1, got {value}")
     return value

@@ -74,6 +74,93 @@ class TestParseConfig:
         values = parse_config("sweep-corollary1", ["--d_list", "16,32,64"])
         assert values["d_list"] == (16, 32, 64)
 
+    def test_seed_variable_that_is_not_an_integer_names_the_variable(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        monkeypatch.setenv("REPROGRAM_LAB_SEED", "x")
+        with pytest.raises(ConfigError, match="REPROGRAM_LAB_SEED"):
+            parse_config("verify-theorem2", [])
+        code = run_cli(["construct-program", "--d", "16", "--k", "4",
+                        "--output_dir", str(tmp_path / "out")])
+        assert code == 2
+        assert "REPROGRAM_LAB_SEED" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,key,text", [
+        ("verify-theorem2", "datasets", "\u0661\u0662"),
+        ("verify-theorem2", "max_steps", "1_000"),
+        ("sweep-corollary1", "d_list", "2_56,1024"),
+        ("verify-theorem2", "d", "+2"),
+        ("verify-theorem2", "d", " 2"),
+    ], ids=["arabic-indic-digits", "underscore", "underscore-in-list", "plus-sign", "space"])
+    def test_integers_take_ascii_digits_only(self, tmp_path, capsys, command, key, text):
+        # the rule of the image header fields: ASCII digits and a leading minus
+        code = run_cli([command, f"--{key}", text, "--output_dir", str(tmp_path / "out")])
+        assert code == 2
+        assert f"key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_spaces_around_list_entries_still_parse(self):
+        values = parse_config("sweep-corollary1", ["--d_list", "256, 1024"])
+        assert values["d_list"] == (256, 1024)
+
+    def test_every_command_resolves_the_same_defaults(self, monkeypatch):
+        # each key, default and type of every command, written out; the
+        # schemas come from signatures, so this pins what they must say
+        monkeypatch.delenv("REPROGRAM_LAB_SEED", raising=False)
+        common = {"seed": 97531, "output_dir": "runs"}
+        expected = {
+            "verify-theorem1": {
+                "d": 4096, "k": 256, "rho": 12.125732532083184, "tau": 0.18946457081379975,
+                "gamma": 0.01, "gamma_dag": 0.01, "trials": 2000,
+            },
+            "sweep-corollary1": {
+                "eta_k": 0.6666666666666666, "eta_rho": 0.3, "eta_tau": 0.2,
+                "d_list": (256, 1024, 4096), "trials": 2000,
+            },
+            "verify-theorem2": {
+                "datasets": 50, "d": 2, "k": 4, "n_pos": 2, "n_neg": 2, "step_size": 0.001,
+                "max_steps": 1000000,
+            },
+            "verify-corollary2": {
+                "k": 8, "init_scale": 0.1, "loss_kind": "exponential", "target_loss": 1e-06,
+                "budget_steps": 10000000,
+            },
+            "verify-proposition": {
+                "d": 64, "tau": 0.2, "trials": 10000, "k": 8, "n_pos": 4, "n_neg": 4,
+                "loss_kind": "exponential", "target_loss": 1e-06, "opt_steps": 400,
+                "opt_lr": 0.01, "opt_batch": 128,
+            },
+            "verify-appendix-a": {
+                "partition_d": 64, "partition_trials": 10000, "sv_d": 1024, "sv_k": 32,
+                "sv_gamma": 0.01, "sv_trials": 1000,
+            },
+            "construct-program": {"d": 256, "k": 32},
+            "optimize-program": {
+                "d": 64, "k": 8, "rho": 8.0, "tau": 0.4, "m": 1, "steps": 300, "lr": 0.01,
+                "batch": 64,
+            },
+            "train-flow": {
+                "d": 2, "n_pos": 2, "n_neg": 2, "k": 4, "init_scale": 0.5,
+                "loss_kind": "exponential", "step_size": 0.001, "max_steps": 100000,
+                "stop_loss": 0.0, "record_every": 100,
+            },
+            "combine-image": {
+                "scheme": 2, "amount": 0.5, "program_file": "p.txt", "image_file": "i.txt",
+                "write_ppm": False,
+            },
+        }
+        assert set(expected) == set(cli._COMMANDS)
+        for command, keys in expected.items():
+            argv = []
+            if command == "combine-image":
+                argv = ["--amount", "0.5", "--program_file", "p.txt", "--image_file", "i.txt"]
+            values = parse_config(command, argv)
+            typed = {key: (value, type(value)) for key, value in values.items()}
+            assert typed == {
+                key: (value, type(value)) for key, value in {**common, **keys}.items()
+            }, command
+
     @pytest.mark.parametrize("text", ["256,,1024", ",", "256,1024,"])
     def test_empty_list_entry_is_malformed(self, tmp_path, capsys, text):
         code = run_cli([
@@ -207,6 +294,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error: LinAlgError: Matrix is not positive definite" in err
         assert "configuration error" not in err
+
+    @pytest.mark.parametrize("init_scale,seed", [("20", "8"), ("40", "2")])
+    def test_overflowing_initial_loss_is_an_error_not_a_config_error(
+        self, tmp_path, capsys, init_scale, seed
+    ):
+        # the balanced start's minimum margin is near -1100, so exp(-m)
+        # overflows and training cannot take a first step
+        out = tmp_path / "out"
+        code = run_cli([
+            "verify-corollary2", "--init_scale", init_scale, "--seed", seed,
+            "--output_dir", str(out),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: NonFiniteLoss" in err
+        assert "configuration error" not in err
+        assert not (out / "verify-corollary2.verdict.txt").exists()
 
     def test_square_singular_value_shape_writes_a_verdict(self, tmp_path):
         # sv_k = sv_d = 100: a square 100x100 weight matrix per trial

@@ -264,6 +264,25 @@ class TestTheorem1Montecarlo:
         assert verdict.measured["vacuous"]
         assert verdict.passed
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 1: at d = 256 the threshold rhs is -3.31, so outputs of a net with "
+        "no program clear it too (0 violations of 300 against 0.065; accuracy 0.483, not "
+        "0.963); a positive-rhs config in reduced mode is needed before this can fail"
+    ))
+    def test_fails_without_a_program(self, monkeypatch):
+        construct = verify.construct_program
+
+        def zero_program(net, direction):
+            program = construct(net, direction)
+            return dataclasses.replace(program, offset=np.zeros_like(program.offset))
+
+        monkeypatch.setattr(verify, "construct_program", zero_program)
+        cfg = Theorem1Config(
+            d=256, k=41, rho=256**0.3, tau=256**-0.2, gamma=0.01, gamma_dag=0.01,
+            trials=300, seed=97531,
+        )
+        assert theorem1_montecarlo(cfg).passed is False
+
 
 class TestTheorem1FloorExample:
     def test_accuracy_exceeds_best_positive_rhs_floor(self):
