@@ -97,17 +97,29 @@ def sample_bernoulli(
 
     Per sample: the label y is uniform on ±1, the point starts at
     y * radius * direction, and each coordinate's sign flips independently
-    with probability 1/2 - bias.  Labels are drawn first, then the flips
-    row-major.  Every coordinate is exactly ±radius/sqrt(d).
+    with probability 1/2 - bias.  The stream is read in a fixed order: all
+    ``count`` labels first, then the count·d flips row-major (see
+    :func:`bernoulli_points`).  A caller that draws the labels and then
+    the points block by block, rows in order, reads the same words.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    y = rng.signs(count)
-    flip = rng.random(count * model.d).reshape(count, model.d) < (0.5 - model.bias)
-    signs = np.where(flip, -1.0, 1.0)
+    labels = rng.signs(count)
+    return bernoulli_points(model, labels, rng), labels
+
+
+def bernoulli_points(model: BernoulliModel, labels: np.ndarray, rng: SeededRng) -> np.ndarray:
+    """Points (n, d) for given labels (n,), drawing n·d flips row-major.
+
+    Coordinate j of row i is labels[i] * radius * direction[j], its sign
+    flipped when its uniform draw is below 1/2 - bias, so every coordinate
+    is exactly ±radius/sqrt(d).
+    """
     base = model.radius * model.direction
-    xs = y[:, None] * base[None, :] * signs
-    return xs, y
+    flip = rng.random(labels.size * model.d).reshape(labels.size, model.d) < (0.5 - model.bias)
+    points = np.where(flip, -base, base)
+    points *= labels[:, None]
+    return points
 
 
 def check_orthosep(dataset: LabeledDataset) -> bool:

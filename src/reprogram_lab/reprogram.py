@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_models import BernoulliModel, sample_bernoulli
-from .errors import ChannelMismatch, TieEncountered, WidthExceedsDimension
+from .data_models import BernoulliModel, bernoulli_points, sample_bernoulli
+from .errors import ChannelMismatch, DimensionMismatch, TieEncountered, WidthExceedsDimension
 from .gradient_flow import loss_value_and_derivative
 from .network import Kernel, TwoLayerNet, forward_batch
 from .numerics import SeededRng, min_norm_solve
@@ -144,6 +144,12 @@ def construct_program(net: TwoLayerNet, direction: np.ndarray) -> AdversarialPro
     )
 
 
+def _block_rows(d: int) -> int:
+    """Rows per block of :func:`reprogrammed_accuracy`: about 2^16 flip
+    entries, so 1,024 rows at d = 64, and at least one row."""
+    return max(1, (1 << 16) // d)
+
+
 def reprogrammed_accuracy(
     net: TwoLayerNet,
     offset: np.ndarray,
@@ -157,15 +163,36 @@ def reprogrammed_accuracy(
     A trial succeeds when m * y * N(offset + x) is strictly positive; an
     output of exactly zero counts as a failure.  Returns the success
     fraction.
+
+    All labels are drawn first, then the points in blocks of
+    max(1, 2^16 // d) rows, in order, so the stream is read exactly as by
+    one :func:`sample_bernoulli` call over all trials and ends at the same
+    position.  Memory is 8 bytes a trial for the labels plus a fixed
+    amount per block (a few 2^16-entry arrays, under 2 MB), not a multiple
+    of trials · d.  A row's output may differ in its last bits from a
+    one-shot batch, since BLAS picks its kernel by row count.
+
+    Raises
+    ------
+    DimensionMismatch
+        If ``offset`` does not have shape (d,).
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if m not in (-1, 1):
         raise ValueError("label mapping m must be +1 or -1")
-    xs, ys = sample_bernoulli(model, trials, rng)
-    xs += np.asarray(offset, dtype=np.float64)[None, :]
-    outputs = forward_batch(net, xs)
-    return int(np.count_nonzero(m * ys * outputs > 0.0)) / trials
+    offset = np.asarray(offset, dtype=np.float64)
+    if offset.shape != (net.d,):
+        raise DimensionMismatch(f"offset has shape {offset.shape}, expected ({net.d},)")
+    labels = rng.signs(trials)
+    rows = _block_rows(net.d)
+    hits = 0
+    for first in range(0, trials, rows):
+        ys = labels[first:first + rows]
+        xs = bernoulli_points(model, ys, rng)
+        xs += offset
+        hits += int(np.count_nonzero(m * ys * forward_batch(net, xs) > 0.0))
+    return hits / trials
 
 
 def bilinear_resize(pixels: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

@@ -8,6 +8,7 @@ import pytest
 from reprogram_lab.data_models import (
     BernoulliModel,
     LabeledDataset,
+    bernoulli_points,
     check_orthosep,
     generate_orthosep,
     random_hypercube_direction,
@@ -41,6 +42,21 @@ class TestBernoulliModel:
         xs, ys = sample_bernoulli(model, 200, SeededRng(1, 0))
         expected = ys[:, None] * (3.0 * model.direction)[None, :]
         assert np.array_equal(xs, expected)
+
+    def test_labels_first_then_flips_row_major(self):
+        # the order that lets a caller draw the points in row blocks
+        model = model_for(12, rho=1.5, tau=0.1)
+        xs, ys = sample_bernoulli(model, 50, SeededRng(6, 0))
+        rng = SeededRng(6, 0)
+        labels = rng.signs(50)
+        flips = rng.random(50 * 12).reshape(50, 12) < 0.4
+        expected = labels[:, None] * (1.5 * model.direction)[None, :] * np.where(flips, -1.0, 1.0)
+        assert np.array_equal(ys, labels)
+        assert xs.tobytes() == expected.tobytes()
+        rng = SeededRng(6, 0)
+        labels = rng.signs(50)
+        blocks = [bernoulli_points(model, labels[i:i + 7], rng) for i in range(0, 50, 7)]
+        assert np.concatenate(blocks).tobytes() == xs.tobytes()
 
     def test_hypercube_support_is_exact(self):
         model = model_for(8, rho=1.7, tau=0.2)

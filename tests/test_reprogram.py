@@ -2,13 +2,20 @@
 image-combination schemes, and the program optimizer."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from reprogram_lab import reprogram
 from reprogram_lab.data_models import BernoulliModel, random_hypercube_direction, sample_bernoulli
-from reprogram_lab.errors import ChannelMismatch, TieEncountered, WidthExceedsDimension
-from reprogram_lab.network import TwoLayerNet, random_init
+from reprogram_lab.errors import (
+    ChannelMismatch,
+    DimensionMismatch,
+    TieEncountered,
+    WidthExceedsDimension,
+)
+from reprogram_lab.network import TwoLayerNet, forward_batch, random_init
 from reprogram_lab.gradient_flow import loss_value_and_derivative
 from reprogram_lab.numerics import SeededRng
 from reprogram_lab.reprogram import (
@@ -180,6 +187,61 @@ class TestReprogrammedAccuracy:
         model = BernoulliModel(direction=phi, radius=1.0, bias=0.5)
         acc = reprogrammed_accuracy(dead, np.zeros(d), model, 1, 100, SeededRng(69, 0))
         assert acc == 0.0
+
+
+    @pytest.mark.parametrize("d", [64, 100])
+    @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 5)])
+    def test_blocks_match_one_shot_reference(self, d, blocks, extra, monkeypatch):
+        # The block path reads the stream as one sample_bernoulli call does,
+        # so the accuracy and the stream's next draw are equal.  Row outputs
+        # agree to 1e-12 relative, not bitwise: OpenBLAS picks its kernel by
+        # row count, so a row may round differently in a block than in one
+        # batch over every trial.
+        rows = reprogram._block_rows(d)
+        trials = blocks * rows + extra
+        net = random_init(d, 8, SeededRng(80, d))
+        model = BernoulliModel(direction=unit_direction(d), radius=math.sqrt(d), bias=0.2)
+        offset = SeededRng(81, d).gaussian(d)
+        outputs = []
+
+        def recorded(net, xs):
+            outputs.append(forward_batch(net, xs))
+            return outputs[-1]
+
+        monkeypatch.setattr(reprogram, "forward_batch", recorded)
+        rng = SeededRng(82, trials)
+        acc = reprogrammed_accuracy(net, offset, model, -1, trials, rng)
+
+        ref_rng = SeededRng(82, trials)
+        xs, ys = sample_bernoulli(model, trials, ref_rng)
+        ref_outputs = forward_batch(net, xs + offset)
+        ref_acc = int(np.count_nonzero(-ys * ref_outputs > 0.0)) / trials
+        assert acc == ref_acc
+        assert rng.random(1)[0] == ref_rng.random(1)[0]
+        assert [o.size for o in outputs] == [min(rows, trials - i) for i in range(0, trials, rows)]
+        np.testing.assert_allclose(np.concatenate(outputs), ref_outputs, rtol=1e-12, atol=0.0)
+
+    def test_memory_does_not_grow_with_trials(self):
+        # one batch over every trial would hold several 100,000 x 64 arrays
+        # (about 105 MB); blocks and the labels stay below 8 MB
+        d = 64
+        net = random_init(d, 8, SeededRng(83, 0))
+        model = BernoulliModel(direction=unit_direction(d), radius=math.sqrt(d), bias=0.2)
+        tracemalloc.start()
+        try:
+            reprogrammed_accuracy(net, np.zeros(d), model, 1, 100_000, SeededRng(84, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
+
+    @pytest.mark.parametrize("shape", [(1,), (), (1, 16)])
+    def test_offset_of_wrong_shape_is_dimension_mismatch(self, shape):
+        d = 16
+        net = random_init(d, 4, SeededRng(85, 0))
+        model = BernoulliModel(direction=unit_direction(d), radius=2.0, bias=0.2)
+        with pytest.raises(DimensionMismatch):
+            reprogrammed_accuracy(net, np.ones(shape), model, 1, 100, SeededRng(86, 0))
 
 
 class TestScheme1:
