@@ -12,6 +12,7 @@ suite, 1 on a failing suite, and 2 on a configuration error.
 from __future__ import annotations
 
 import inspect
+import math
 import os
 import sys
 from pathlib import Path
@@ -58,6 +59,13 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):  # no key takes nan or an infinity
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 def _parse_int_list(text: str) -> tuple[int, ...]:
     parts = text.split(",")
     if not all(part.strip() for part in parts):
@@ -68,8 +76,8 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 # annotation -> parser; every module postpones annotations, so an
 # annotation is its source text
 _PARSERS = {
-    "int": ascii_int, "float": float, "float | None": float, "str": str, "bool": _parse_bool,
-    "tuple[int, ...]": _parse_int_list,
+    "int": ascii_int, "float": _parse_float, "float | None": _parse_float, "str": str,
+    "bool": _parse_bool, "tuple[int, ...]": _parse_int_list,
 }
 
 # key -> (type, default), shared by every command

@@ -1,16 +1,18 @@
 """Discrete-step simulation of gradient flow for two-layer ReLU networks
 under exponential or logistic loss.
 
-The flow is discretised by plain Euler subgradient descent with a fixed
-step: theta <- theta - step_size * g, where g selects 0 from the ReLU
-subdifferential at kinks.  A run records the loss curve, per-neuron
+``train`` discretises the flow by plain Euler subgradient descent with a
+fixed step: theta <- theta - step_size * g, where g selects 0 from the
+ReLU subdifferential at kinks.  A run records the loss curve, per-neuron
 balance residuals, output-sign flips, and the first step at which the
 total loss drops below the single-sample loss at margin zero (the point
-past which every training input is classified correctly).  Two trainers
-build on that step: one trains many runs to their first loss crossing as
-a stacked batch, and one follows the flow to its directional limit.
-Each trainer prepares the net's ``Kernel`` and its loss branch once per
-run (per chunk for the directional limit), then steps the weights in place.
+past which every training input is classified correctly).
+``train_to_crossing`` takes the same steps for many runs as one stacked
+batch, each up to its first crossing.  ``train_to_directional_limit``
+follows the time-rescaled flow from theta0 to its directional limit, in
+one loop of chunks.  Each trainer prepares the net's ``Kernel`` and its
+loss branch once per run (per chunk for the directional limit), then
+steps the weights in place.
 """
 
 from __future__ import annotations
@@ -299,68 +301,50 @@ def train_to_directional_limit(
     budget_steps: int,
     s_budget: float = 2000.0,
 ) -> tuple[TwoLayerNet, int, float, float, int]:
-    """Drive training to the directional limit of the flow.
+    """Drive training to the directional limit of the flow, in one loop.
 
-    Phase one runs chunks of plain fixed-step Euler descent, with the
-    step chosen per chunk from the current loss and weight scale (halved
-    and retried whenever a chunk fails to decrease the loss) until the
-    loss reaches ``target_loss``, which must be positive.  Phase two
-    follows the time-rescaled flow dtheta/ds = -grad L / loss-scale in a
-    margin-shifted form that never underflows, rescaling the weights
-    (2-homogeneity keeps the predictor's sign and the flow's directional
-    limit) whenever margins pass 2 * MARGIN_REF.  Phase two stops once
-    the loss is at target and the unit weight direction at the end of a
-    chunk lies within DIRECTION_TOL of the direction at the end of any
-    earlier chunk: the direction has either stopped moving (period 1) or
-    come back to one it held p chunks before.  The fixed-step flow can
-    settle onto a few directions and move among them for good (at some
-    seeds a strict cycle of p chunks), so a return is as far as further
-    chunks get.  Otherwise it stops when the rescaled-time budget
-    ``s_budget`` or the step budget runs out, or the damping floor is
-    reached.
+    From theta0, runs chunks of DIRECTIONAL_CHUNK Euler steps of the
+    time-rescaled flow, whose per-sample weights -l'(margin) are scaled by
+    exp(min margin): a positive rescaling of the gradient at every loss
+    level, so it follows the flow's path and never underflows.  Margins
+    past 2 * MARGIN_REF trigger a rescale of the weights (2-homogeneity
+    keeps the predictor's sign and the directional limit).  A chunk's step
+    is damping * 0.5 / (r * (1 + max_j(|w_j|^2 + a_j^2) * max|x|^2)), with
+    r = sum_i exp(min margin - margin_i) while the loss is above
+    ``target_loss`` (positive and finite) and 1 once it is at target: a
+    rescaled step is a plain step times exp(min margin), so above target
+    this is the plain step 0.5 / (loss * (1 + ...)).  The damping starts
+    at 0.5, halves on a chunk that would raise the loss (it is retried)
+    and grows by 1.5 up to 0.5 after one that does not.  Rescaled time
+    counts from the first chunk that starts at target.
+
+    Training stops once the loss is at target and the unit weight direction
+    at a chunk end lies within DIRECTION_TOL of that at any earlier chunk
+    end: the direction stopped moving (period 1) or came back to one it
+    held p chunks before, as far as a fixed-step flow that settles onto a
+    few directions gets.  Otherwise the rescaled-time budget ``s_budget``,
+    the step budget or the damping floor ends the loop.
 
     Returns (theta, steps_used, final_log_loss, log_norm_growth,
-    direction_period).  log_norm_growth is
-    ln(norm(theta_final)/norm(theta0)) accounting for every intermediate
-    rescale; direction_period is the number of chunks back to the
-    direction that matched, or 0 when a budget or the damping floor
-    ended the loop.  Raises :class:`NonFiniteLoss` if the initial loss is
-    not finite, since phase one's step would then be 0.
+    direction_period): log_norm_growth is ln(norm(theta)/norm(theta0))
+    across every rescale; direction_period is the lag of the match, 0 when
+    a budget or the damping floor ended the loop.  Raises
+    :class:`NonFiniteLoss` if the loss at theta0 overflows, as :func:`train`
+    does: such a start is too large to report a loss for.
     """
-    if target_loss <= 0.0:
-        raise ValueError("target_loss must be positive")
+    if not 0.0 < target_loss < math.inf:
+        raise ValueError("target_loss must be positive and finite")
     if budget_steps < 0:
         raise ValueError("budget_steps must be >= 0")
     xs, ys = dataset.points, dataset.labels
     max_x2 = float(np.max(np.sum(xs * xs, axis=1)))
-    theta = theta0
-    start_log_norm = math.log(theta.norm())
-    used = 0
-    damping = 1.0
-    margins = Kernel(xs, ys, theta.weights, theta.outputs).forward()
+    margins = Kernel(xs, ys, theta0.weights, theta0.outputs).forward()
     loss = float(np.sum(loss_value_and_derivative(kind, margins)[0]))
     if not math.isfinite(loss):
         raise NonFiniteLoss(f"initial loss is {loss}: the initialisation is too large")
-    while used < budget_steps and loss > target_loss:
-        scale2 = float(np.max(np.sum(theta.weights**2, axis=1) + theta.outputs**2))
-        step = damping * 0.5 / (loss * (1.0 + scale2 * max_x2))
-        try:
-            report = train(
-                theta, dataset, kind, step, min(DIRECTIONAL_CHUNK, budget_steps - used),
-                stop_loss=target_loss, record_every=DIRECTIONAL_CHUNK,
-            )
-        except NonFiniteLoss:
-            damping *= 0.5
-            continue
-        if report.final_loss > loss:
-            damping *= 0.5
-            continue
-        theta = report.final_theta
-        loss = report.final_loss
-        used += report.steps_run
-        damping = min(1.0, damping * 1.5)
-
-    w, a = theta.weights.copy(), theta.outputs.copy()
+    w, a = theta0.weights.copy(), theta0.outputs.copy()
+    log_target = math.log(target_loss)
+    used = 0
     damping = 0.5
     rescale_log = 0.0
     s_used = 0.0
@@ -375,8 +359,12 @@ def train_to_directional_limit(
             a *= alpha
             rescale_log -= math.log(alpha)
             log_loss = _log_loss(w, a, xs, ys, kind)
+        at_target = log_loss <= log_target
+        r = 1.0
+        if not at_target:
+            r = math.exp(log_loss + float(np.min(Kernel(xs, ys, w, a).forward())))
         scale2 = float(np.max(np.sum(w * w, axis=1) + a * a))
-        step = damping * 0.5 / (1.0 + scale2 * max_x2)
+        step = damping * 0.5 / (r * (1.0 + scale2 * max_x2))
         steps = min(DIRECTIONAL_CHUNK, budget_steps - used)
         w_next, a_next = _rescaled_chunk(w, a, xs, ys, kind, step, steps)
         next_log_loss = _log_loss(w_next, a_next, xs, ys, kind)
@@ -388,11 +376,12 @@ def train_to_directional_limit(
         w, a = w_next, a_next
         log_loss = next_log_loss
         used += steps
-        s_used += step * steps
+        if at_target:
+            s_used += step * steps
         damping = min(0.5, damping * 1.5)
         direction = np.concatenate([w.ravel(), a])
         direction /= np.linalg.norm(direction)
-        if log_loss <= math.log(target_loss):
+        if log_loss <= log_target:
             close = np.flatnonzero(np.linalg.norm(visited - direction, axis=1) < DIRECTION_TOL)
             if close.size:
                 period = len(visited) - int(close[-1])
@@ -400,7 +389,7 @@ def train_to_directional_limit(
         visited = np.vstack([visited, direction])
 
     final = TwoLayerNet(w, a)
-    log_growth = math.log(final.norm()) + rescale_log - start_log_norm
+    log_growth = math.log(final.norm()) + rescale_log - math.log(theta0.norm())
     return final, used, log_loss, log_growth, period
 
 

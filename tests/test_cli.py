@@ -279,6 +279,29 @@ class TestExitCodes:
         assert f"{key} must" in capsys.readouterr().err
         assert not (tmp_path / "out" / f"{command}.verdict.txt").exists()
 
+    @pytest.mark.parametrize("command,args,key", [
+        # a NaN target passed: target <= 0 and log_loss > log(nan) are both false
+        ("verify-corollary2", ["--target_loss", "nan", "--budget_steps", "2000"], "target_loss"),
+        # these exited 1 with NonFiniteLoss, LivenessExhausted and
+        # ExponentConditionViolated
+        ("verify-theorem2", ["--datasets", "1", "--step_size", "nan"], "step_size"),
+        ("verify-theorem2", ["--datasets", "1", "--step_size", "inf"], "step_size"),
+        ("verify-corollary2", ["--init_scale", "nan"], "init_scale"),
+        ("sweep-corollary1", ["--eta_k", "nan", "--trials", "5"], "eta_k"),
+        ("verify-theorem1", ["--d", "16", "--k", "4", "--rho", "1e400"], "rho"),
+        ("verify-theorem2", ["--datasets", "1", "--step_size", "-inf"], "step_size"),
+    ], ids=[
+        "corollary2-target-nan", "theorem2-step-nan", "theorem2-step-inf",
+        "corollary2-init-scale-nan", "corollary1-eta-k-nan", "theorem1-rho-overflow",
+        "theorem2-step-minus-inf",
+    ])
+    def test_non_finite_float_is_a_config_error(self, tmp_path, capsys, command, args, key):
+        # no float key takes nan or an infinity; the parser names the key
+        code = run_cli([command, *args, "--output_dir", str(tmp_path / "out")])
+        assert code == 2
+        assert f"key {key!r}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_help_exits_0(self):
         assert run_cli(["--help"]) == 0
 
