@@ -310,13 +310,13 @@ def train_to_directional_limit(
     past 2 * MARGIN_REF trigger a rescale of the weights (2-homogeneity
     keeps the predictor's sign and the directional limit).  A chunk's step
     is damping * 0.5 / (r * (1 + max_j(|w_j|^2 + a_j^2) * max|x|^2)), with
-    r = sum_i exp(min margin - margin_i) while the loss is above
-    ``target_loss`` (positive and finite) and 1 once it is at target: a
-    rescaled step is a plain step times exp(min margin), so above target
-    this is the plain step 0.5 / (loss * (1 + ...)).  The damping starts
-    at 0.5, halves on a chunk that would raise the loss (it is retried)
-    and grows by 1.5 up to 0.5 after one that does not.  Rescaled time
-    counts from the first chunk that starts at target.
+    r = sum_i exp(min margin - margin_i) until the loss first reaches
+    ``target_loss`` (positive and finite) and 1 from then on, even when a
+    rescale raises the loss again: a rescaled step is a plain step times
+    exp(min margin), so until then this is the plain step
+    0.5 / (loss * (1 + ...)).  Rescaled time counts from then on too.  The
+    damping starts at 0.5, halves on a chunk that would raise the loss (it
+    is retried) and grows by 1.5 up to 0.5 after one that does not.
 
     Training stops once the loss is at target and the unit weight direction
     at a chunk end lies within DIRECTION_TOL of that at any earlier chunk
@@ -351,7 +351,9 @@ def train_to_directional_limit(
     log_loss = _log_loss(w, a, xs, ys, kind)
     visited = np.empty((0, w.size + a.size))  # chunk-end unit directions, in order
     period = 0
+    at_target = False
     while used < budget_steps and s_used < s_budget:
+        at_target = at_target or log_loss <= log_target
         min_margin = -(log_loss - math.log(len(ys)))
         if min_margin > 2.0 * MARGIN_REF:
             alpha = math.sqrt(MARGIN_REF / min_margin)
@@ -359,7 +361,6 @@ def train_to_directional_limit(
             a *= alpha
             rescale_log -= math.log(alpha)
             log_loss = _log_loss(w, a, xs, ys, kind)
-        at_target = log_loss <= log_target
         r = 1.0
         if not at_target:
             r = math.exp(log_loss + float(np.min(Kernel(xs, ys, w, a).forward())))

@@ -596,6 +596,19 @@ class TestDirectionalLimit:
         with pytest.raises(ValueError, match="target_loss must be positive and finite"):
             train_to_directional_limit(theta, data, "exponential", target, 2000)
 
+    def test_a_rescale_does_not_undo_reaching_the_target(self):
+        # A rescale raises the loss.  When that took a loss that had reached
+        # a target below n * exp(-2 * MARGIN_REF) = 4e-70 back above it, the
+        # steps went back to their form above target, which moved the run:
+        # at 1e-100 it stopped after 40,000 steps on a period-10 return.
+        # Here the chunk that first reaches 1e-6 also passes 1e-100.
+        data = four_point_dataset()
+        theta = balanced_live_init(data, 8, 0.1, SeededRng(97531, verify._BASE_COROLLARY2))
+        high = train_to_directional_limit(theta, data, "exponential", 1e-6, 100_000)
+        low = train_to_directional_limit(theta, data, "exponential", 1e-100, 100_000)
+        assert low[1:] == high[1:] and low[1] == 6000 and low[4] == 2
+        assert low[0].weights.tobytes() == high[0].weights.tobytes()
+
     def test_steps_above_target_are_plain_steps_scaled_by_the_loss(self, monkeypatch):
         # proposition's training at its defaults.  With steps above target
         # not divided by r = loss * exp(min margin), the weight norm grew by
