@@ -131,8 +131,8 @@ def differences(expected: str, actual: str) -> list[str]:
 def main() -> int:
     for seed in SEEDS:
         for command in CASES:
-            with tempfile.TemporaryDirectory() as scratch:
-                texts = run_case(command, seed, Path(scratch))
+            with tempfile.TemporaryDirectory() as workdir:
+                texts = run_case(command, seed, Path(workdir))
             folder = GOLDEN / str(seed) / command
             shutil.rmtree(folder, ignore_errors=True)
             folder.mkdir(parents=True)
