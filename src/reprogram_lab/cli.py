@@ -220,17 +220,12 @@ _COMMANDS = {
     "verify-theorem1": _command(_theorem1),
     "sweep-corollary1": _command(_corollary1),
     "verify-theorem2": _command(_theorem2),
-    "verify-corollary2": _command(
-        corollary2_suite, "k", "init_scale", "loss_kind", "target_loss", "budget_steps",
-    ),
-    "verify-proposition": _command(
+    "verify-corollary2": _command(corollary2_suite),
+    "verify-proposition": _command(  # every parameter but budget_steps
         proposition_suite, "d", "tau", "trials", "k", "n_pos", "n_neg", "loss_kind",
         "target_loss", "opt_steps", "opt_lr", "opt_batch",
     ),
-    "verify-appendix-a": _command(
-        appendix_a_suite, "partition_d", "partition_trials", "sv_d", "sv_k", "sv_gamma",
-        "sv_trials",
-    ),
+    "verify-appendix-a": _command(appendix_a_suite),
     "construct-program": _command(_construct_program),
     "optimize-program": _command(_optimize_program),
     "train-flow": _command(_train_flow),

@@ -11,8 +11,7 @@ past which every training input is classified correctly).
 batch, each up to its first crossing.  ``train_to_directional_limit``
 follows the time-rescaled flow from theta0 to its directional limit, in
 one loop of chunks.  Each trainer prepares the net's ``Kernel`` and its
-loss branch once per run (per chunk for the directional limit), then
-steps the weights in place.
+loss branch once per run, then steps the weights in place.
 """
 
 from __future__ import annotations
@@ -31,11 +30,13 @@ _INIT_RETRIES = 1000
 
 # The directional-limit trainer runs DIRECTIONAL_CHUNK steps between
 # checks, rescales the weights once the smallest margin passes
-# 2 * MARGIN_REF, and counts two chunk-end unit weight directions as the
-# same direction when they are closer than DIRECTION_TOL.
+# 2 * MARGIN_REF, counts two chunk-end unit weight directions as the
+# same direction when they are closer than DIRECTION_TOL, and stops once
+# RESCALED_TIME_BUDGET of rescaled time has passed at target.
 DIRECTIONAL_CHUNK = 1000
 MARGIN_REF = 80.0
 DIRECTION_TOL = 1e-9
+RESCALED_TIME_BUDGET = 100.0
 
 # A neuron survives training when its row norm exceeds this fraction of
 # the largest row norm.
@@ -99,7 +100,7 @@ def _check_trainer(kind: str, step_size: float, max_steps: int) -> None:
     """Argument checks shared by the two Euler trainers."""
     if kind not in LOSS_KINDS:
         raise ValueError(f"loss kind must be one of {LOSS_KINDS}")
-    if step_size <= 0.0:
+    if not step_size > 0.0:
         raise ValueError("step_size must be positive")
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
@@ -117,7 +118,7 @@ def balanced_live_init(
     """
     if k < 2:
         raise ValueError("width must be at least 2")
-    if scale <= 0.0:
+    if not scale > 0.0:
         raise ValueError("scale must be positive")
     labels = dataset.labels
     if not (np.any(labels > 0) and np.any(labels < 0)):
@@ -263,12 +264,11 @@ def train_to_crossing(
     return crossed_at, min_margins
 
 
-def _rescaled_chunk(w, a, xs, ys, kind, step, steps):
-    """``steps`` Euler steps of the time-rescaled flow from (w, a), which
-    are not modified.  The per-sample gradient weights -l'(margin) are
+def _rescaled_chunk(kernel: Kernel, kind: str, step: float, steps: int) -> None:
+    """``steps`` Euler steps of the time-rescaled flow, taken in place on
+    the kernel's weights.  The per-sample gradient weights -l'(margin) are
     scaled by exp(min margin), so they stay exact however small the loss
     gets."""
-    kernel = Kernel.for_run(xs, ys, w, a)
     logistic = kind == "logistic"
     for _ in range(steps):
         margins = kernel.forward()
@@ -276,21 +276,20 @@ def _rescaled_chunk(w, a, xs, ys, kind, step, steps):
         weights = np.exp(min(margins.tolist()) - margins)
         if logistic:
             weights /= 1.0 + np.exp(-margins)
-        kernel.step(weights * ys, step)
-    return kernel.w, kernel.a
+        kernel.step(weights * kernel.ys, step)
 
 
-def _log_loss(w, a, xs, ys, kind) -> float:
-    """Log of the total loss, computed with margin shifting so that
-    arbitrarily small losses stay exact."""
-    margins = Kernel(xs, ys, w, a).forward()
+def _log_loss(margins: np.ndarray, kind: str) -> tuple[float, float]:
+    """(log of the total loss, min margin) at ``margins``; the loss is
+    computed with margin shifting so that arbitrarily small losses stay
+    exact."""
     m_min = float(np.min(margins))
     rel = np.exp(m_min - margins)
     if kind == "logistic":
         small = margins < 35.0
         ms = margins[small]
         rel[small] *= np.exp(ms) * np.log1p(np.exp(-ms))
-    return -m_min + math.log(float(np.sum(rel)))
+    return -m_min + math.log(float(np.sum(rel))), m_min
 
 
 def train_to_directional_limit(
@@ -299,89 +298,82 @@ def train_to_directional_limit(
     kind: str,
     target_loss: float,
     budget_steps: int,
-    s_budget: float = 2000.0,
 ) -> tuple[TwoLayerNet, int, float, float, int]:
     """Drive training to the directional limit of the flow, in one loop.
 
-    From theta0, runs chunks of DIRECTIONAL_CHUNK Euler steps of the
-    time-rescaled flow, whose per-sample weights -l'(margin) are scaled by
-    exp(min margin): a positive rescaling of the gradient at every loss
-    level, so it follows the flow's path and never underflows.  Margins
-    past 2 * MARGIN_REF trigger a rescale of the weights (2-homogeneity
-    keeps the predictor's sign and the directional limit).  A chunk's step
-    is damping * 0.5 / (r * (1 + max_j(|w_j|^2 + a_j^2) * max|x|^2)), with
+    From theta0, steps one kernel in place through chunks of
+    DIRECTIONAL_CHUNK Euler steps of the time-rescaled flow, whose
+    per-sample weights -l'(margin) are scaled by exp(min margin): a
+    positive rescaling of the gradient at every loss level, so it follows
+    the flow's path and never underflows.  Margins past 2 * MARGIN_REF
+    trigger a rescale of the weights (2-homogeneity keeps the predictor's
+    sign and the directional limit).  A chunk's step is
+    0.25 / (r * (1 + max_j(|w_j|^2 + a_j^2) * max|x|^2)), with
     r = sum_i exp(min margin - margin_i) until the loss first reaches
     ``target_loss`` (positive and finite) and 1 from then on, even when a
     rescale raises the loss again: a rescaled step is a plain step times
     exp(min margin), so until then this is the plain step
-    0.5 / (loss * (1 + ...)).  Rescaled time counts from then on too.  The
-    damping starts at 0.5, halves on a chunk that would raise the loss (it
-    is retried) and grows by 1.5 up to 0.5 after one that does not.
+    0.25 / (loss * (1 + ...)).  Rescaled time counts from then on too.  A
+    chunk that would raise the loss or make it non-finite is undone, and
+    ends training.
 
     Training stops once the loss is at target and the unit weight direction
     at a chunk end lies within DIRECTION_TOL of that at any earlier chunk
     end: the direction stopped moving (period 1) or came back to one it
     held p chunks before, as far as a fixed-step flow that settles onto a
-    few directions gets.  Otherwise the rescaled-time budget ``s_budget``,
-    the step budget or the damping floor ends the loop.
+    few directions gets.  Otherwise RESCALED_TIME_BUDGET, the step budget
+    or an undone chunk ends the loop.
 
     Returns (theta, steps_used, final_log_loss, log_norm_growth,
     direction_period): log_norm_growth is ln(norm(theta)/norm(theta0))
     across every rescale; direction_period is the lag of the match, 0 when
-    a budget or the damping floor ended the loop.  Raises
-    :class:`NonFiniteLoss` if the loss at theta0 overflows, as :func:`train`
-    does: such a start is too large to report a loss for.
+    a budget or an undone chunk ended the loop.  theta0 is not modified.
+    Raises :class:`NonFiniteLoss` if the loss at theta0 overflows, as
+    :func:`train` does: such a start is too large to report a loss for.
     """
     if not 0.0 < target_loss < math.inf:
         raise ValueError("target_loss must be positive and finite")
     if budget_steps < 0:
         raise ValueError("budget_steps must be >= 0")
-    xs, ys = dataset.points, dataset.labels
-    max_x2 = float(np.max(np.sum(xs * xs, axis=1)))
-    margins = Kernel(xs, ys, theta0.weights, theta0.outputs).forward()
+    kernel = Kernel.for_run(dataset.points, dataset.labels, theta0.weights, theta0.outputs)
+    w, a, theta = kernel.w, kernel.a, kernel.theta
+    max_x2 = float(np.max(np.sum(kernel.xs * kernel.xs, axis=1)))
+    margins = kernel.forward()
     loss = float(np.sum(loss_value_and_derivative(kind, margins)[0]))
     if not math.isfinite(loss):
         raise NonFiniteLoss(f"initial loss is {loss}: the initialisation is too large")
-    w, a = theta0.weights.copy(), theta0.outputs.copy()
+    log_loss, m_min = _log_loss(margins, kind)
+    log_n = math.log(len(margins))
     log_target = math.log(target_loss)
     used = 0
-    damping = 0.5
     rescale_log = 0.0
     s_used = 0.0
-    log_loss = _log_loss(w, a, xs, ys, kind)
-    visited = np.empty((0, w.size + a.size))  # chunk-end unit directions, in order
+    visited = np.empty((0, theta.size))  # chunk-end unit directions, in order
     period = 0
     at_target = False
-    while used < budget_steps and s_used < s_budget:
+    while used < budget_steps and s_used < RESCALED_TIME_BUDGET:
         at_target = at_target or log_loss <= log_target
-        min_margin = -(log_loss - math.log(len(ys)))
+        min_margin = -(log_loss - log_n)
         if min_margin > 2.0 * MARGIN_REF:
             alpha = math.sqrt(MARGIN_REF / min_margin)
-            w *= alpha
-            a *= alpha
+            theta *= alpha
             rescale_log -= math.log(alpha)
-            log_loss = _log_loss(w, a, xs, ys, kind)
-        r = 1.0
-        if not at_target:
-            r = math.exp(log_loss + float(np.min(Kernel(xs, ys, w, a).forward())))
+            log_loss, m_min = _log_loss(kernel.forward(), kind)
+        r = 1.0 if at_target else math.exp(log_loss + m_min)
         scale2 = float(np.max(np.sum(w * w, axis=1) + a * a))
-        step = damping * 0.5 / (r * (1.0 + scale2 * max_x2))
+        step = 0.25 / (r * (1.0 + scale2 * max_x2))
         steps = min(DIRECTIONAL_CHUNK, budget_steps - used)
-        w_next, a_next = _rescaled_chunk(w, a, xs, ys, kind, step, steps)
-        next_log_loss = _log_loss(w_next, a_next, xs, ys, kind)
+        start = theta.copy()
+        _rescaled_chunk(kernel, kind, step, steps)
+        next_log_loss, next_m_min = _log_loss(kernel.forward(), kind)
         if not (math.isfinite(next_log_loss) and next_log_loss <= log_loss + 1e-9):
-            damping *= 0.5
-            if damping < 1e-14:
-                break
-            continue
-        w, a = w_next, a_next
-        log_loss = next_log_loss
+            theta[:] = start
+            break
+        log_loss, m_min = next_log_loss, next_m_min
         used += steps
         if at_target:
             s_used += step * steps
-        damping = min(0.5, damping * 1.5)
-        direction = np.concatenate([w.ravel(), a])
-        direction /= np.linalg.norm(direction)
+        direction = theta / np.linalg.norm(theta)
         if log_loss <= log_target:
             close = np.flatnonzero(np.linalg.norm(visited - direction, axis=1) < DIRECTION_TOL)
             if close.size:

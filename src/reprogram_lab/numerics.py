@@ -210,8 +210,10 @@ class SeededRng:
 
     def signs(self, count: int) -> np.ndarray:
         """Independent uniform ±1.0 samples."""
-        bit = self.uniform64(count) >> np.uint64(63)
-        return 1.0 - 2.0 * bit.astype(np.float64)
+        out = (self.uniform64(count) >> np.uint64(63)).astype(np.float64)
+        out *= -2.0
+        out += 1.0
+        return out
 
     def gaussian(self, count: int) -> np.ndarray:
         """Independent standard normal samples via Box-Muller.

@@ -286,7 +286,7 @@ def optimize_program(
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    if steps > 0 and (lr <= 0.0 or batch < 1):
+    if steps > 0 and (not lr > 0.0 or batch < 1):
         raise ValueError("lr must be positive and batch at least 1")
     if m not in (-1, 1):
         raise ValueError("label mapping m must be +1 or -1")

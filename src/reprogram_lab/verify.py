@@ -95,9 +95,6 @@ COROLLARY2_BALANCE_FRACTION = 1e-3
 COROLLARY2_MASS_RATIO_REL_TOL = 0.02
 COROLLARY2_MIN_NORM_GROWTH = 10.0
 
-# Rescaled-time budget of the proposition's directional-limit training.
-PROPOSITION_S_BUDGET = 100.0
-
 # Widths at which appendix_a checks the empty-partition rate 2^-k.
 APPENDIX_A_PARTITION_KS = (1, 4, 8)
 
@@ -195,7 +192,7 @@ def theorem1_rhs(
         raise ValueError("width k must not exceed dimension d")
     if not 0.0 < tau <= 0.5:
         raise ValueError("tau must lie in (0, 1/2]")
-    if rho <= 0.0:
+    if not rho > 0.0:
         raise ValueError("rho must be positive")
     if not (0.0 < gamma < 1.0 and 0.0 < gamma_dag < 1.0):
         raise ValueError("gamma and gamma_dag must lie in (0, 1)")
@@ -552,16 +549,16 @@ def corollary2_suite(
     Trains to the flow's directional limit (loss at or below
     ``target_loss`` and a weight direction that has stopped moving or
     come back to one it held at an earlier chunk end; the period found is
-    reported as ``direction_period``, 0 when a budget or the damping
-    floor ended training, and is not part of the verdict), computes the
-    per-class max-margin vectors, and checks: every surviving neuron's
-    cosine to its target is at least COROLLARY2_MIN_COSINE; the worst
-    balance residual is at most COROLLARY2_BALANCE_FRACTION times the
-    weight norm; the per-sign squared-output masses have ratio within
-    COROLLARY2_MASS_RATIO_REL_TOL of norm(v_pos)/norm(v_neg); and the
-    weight norm grew by at least COROLLARY2_MIN_NORM_GROWTH.  If the loss
-    target is not reached within budget the verdict fails and is flagged
-    inconclusive.
+    reported as ``direction_period``, 0 when a budget or a chunk that
+    would raise the loss ended training, and is not part of the verdict),
+    computes the per-class max-margin vectors, and checks: every
+    surviving neuron's cosine to its target is at least
+    COROLLARY2_MIN_COSINE; the worst balance residual is at most
+    COROLLARY2_BALANCE_FRACTION times the weight norm; the per-sign
+    squared-output masses have ratio within COROLLARY2_MASS_RATIO_REL_TOL
+    of norm(v_pos)/norm(v_neg); and the weight norm grew by at least
+    COROLLARY2_MIN_NORM_GROWTH.  If the loss target is not reached within
+    budget the verdict fails and is flagged inconclusive.
     """
     started = time.perf_counter()
     data = four_point_dataset()
@@ -658,7 +655,7 @@ def proposition_suite(
         data, k, PROPOSITION_INIT_SCALE, SeededRng(seed, _BASE_PROPOSITION + 1)
     )
     net, steps_used, log_loss, _, _ = train_to_directional_limit(
-        theta0, data, loss_kind, target_loss, budget_steps, s_budget=PROPOSITION_S_BUDGET
+        theta0, data, loss_kind, target_loss, budget_steps
     )
     v_pos = max_margin_vector(data.points[data.labels > 0]).vector
     v_neg = max_margin_vector(data.points[data.labels < 0]).vector

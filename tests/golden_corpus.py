@@ -64,20 +64,25 @@ def _combine_image_inputs(seed: int) -> None:
 
 
 def run_case(command: str, seed: int, workdir: Path) -> dict[str, str]:
-    """Run one case in ``workdir``; returns each output file's name and its
-    text without the varying lines."""
+    """Run one case in ``workdir``; returns its outputs as
+    :func:`read_outputs` reads them."""
     with contextlib.chdir(workdir):
         if command == "combine-image":
             _combine_image_inputs(seed)
         code = cli.main([command, *CASES[command], "--seed", str(seed), "--output_dir", "out"])
     if code not in (0, 1):
         raise RuntimeError(f"{command} at seed {seed} exited {code}")
+    return read_outputs(workdir / "out")
+
+
+def read_outputs(folder: Path) -> dict[str, str]:
+    """Each output file's name and its text without the varying lines."""
     return {
         path.name: "".join(
             line for line in path.read_text().splitlines(keepends=True)
             if not line.startswith(_VARYING)
         )
-        for path in sorted((workdir / "out").iterdir())
+        for path in sorted(folder.iterdir())
     }
 
 

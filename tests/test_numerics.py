@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -169,6 +170,21 @@ class TestSeededRng:
         s = SeededRng(5, 3).signs(100_000)
         assert set(np.unique(s)) == {-1.0, 1.0}
         assert abs(s.mean()) < 3.0 / math.sqrt(100_000)
+
+    @pytest.mark.parametrize("seed", [97531, 8191])
+    def test_signs_are_the_top_bit_in_16_bytes_a_draw(self, seed):
+        count = 10**6 + 1
+        bit = SeededRng(seed, 2).uniform64(count) >> np.uint64(63)
+        expected = 1.0 - 2.0 * bit.astype(np.float64)
+        tracemalloc.start()
+        try:
+            signs = SeededRng(seed, 2).signs(count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert signs.tobytes() == expected.tobytes()
+        # the words and their mixing scratch, then the shifted words and the result
+        assert peak < 17_000_000
 
 
 class TestOneBlasThread:

@@ -11,18 +11,24 @@ import time
 import numpy as np
 import pytest
 
-from reprogram_lab import numerics, verify
+from reprogram_lab import gradient_flow, numerics, verify
 from reprogram_lab.errors import (
     ExponentConditionViolated,
     GramNotPositiveDefinite,
     HypothesisViolated,
     TieEncountered,
 )
-from reprogram_lab.data_models import LabeledDataset
-from reprogram_lab.gradient_flow import balanced_live_init
-from reprogram_lab.network import TwoLayerNet
+from reprogram_lab.data_models import BernoulliModel, LabeledDataset
+from reprogram_lab.gradient_flow import (
+    _log_loss,
+    _rescaled_chunk,
+    balanced_live_init,
+    train,
+    train_to_crossing,
+)
+from reprogram_lab.network import Kernel, TwoLayerNet, random_init
 from reprogram_lab.numerics import SeededRng
-from reprogram_lab.reprogram import build_target_bias
+from reprogram_lab.reprogram import build_target_bias, optimize_program
 from reprogram_lab.verify import (
     BOUND_C1,
     BOUND_C2,
@@ -45,7 +51,6 @@ from reprogram_lab.verify import (
     train_to_directional_limit,
     verdict_to_text,
 )
-from reprogram_lab.gradient_flow import _log_loss, _rescaled_chunk
 
 SMALL_T1 = Theorem1Config(
     d=256, k=41, rho=256**0.3, tau=256**-0.2,
@@ -539,13 +544,13 @@ def reference_log_loss_and_weights(w, a, xs, ys, kind):
     else:
         log_loss = -m_min + math.log(float(np.sum(rel)))
         weights = rel
-    return log_loss, weights, act, pre
+    return log_loss, m_min, weights, act, pre
 
 
 def reference_chunk(w, a, xs, ys, kind, step, steps):
     w, a = w.copy(), a.copy()
     for _ in range(steps):
-        _, weights, act, pre = reference_log_loss_and_weights(w, a, xs, ys, kind)
+        _, _, weights, act, pre = reference_log_loss_and_weights(w, a, xs, ys, kind)
         coeff = weights * ys
         grad_a = np.where(act, pre, 0.0).T @ coeff
         grad_w = a[:, None] * ((act * coeff[:, None]).T @ xs)
@@ -566,26 +571,18 @@ class TestDirectionalLimitStep:
         theta = balanced_live_init(data, 8, 0.1, SeededRng(41, 0))
         if trained:
             theta = train_to_directional_limit(theta, data, kind, 1e-3, 4000)[0]
-        w, a = theta.weights, theta.outputs
-        ref_w, ref_a = w.copy(), a.copy()
+        kernel = Kernel.for_run(xs, ys, theta.weights, theta.outputs)
+        w, a = kernel.w, kernel.a
+        ref_w, ref_a = theta.weights.copy(), theta.outputs.copy()
         max_x2 = float(np.max(np.sum(xs * xs, axis=1)))
         for _ in range(3):
-            log_loss = _log_loss(w, a, xs, ys, kind)
-            assert log_loss == reference_log_loss_and_weights(w, a, xs, ys, kind)[0]
-            step = 0.5 / (1.0 + float(np.max(np.sum(w * w, axis=1) + a * a)) * max_x2)
-            w, a = _rescaled_chunk(w, a, xs, ys, kind, step, 1000)
+            log_loss, m_min = _log_loss(kernel.forward(), kind)
+            assert (log_loss, m_min) == reference_log_loss_and_weights(w, a, xs, ys, kind)[:2]
+            step = 0.25 / (1.0 + float(np.max(np.sum(w * w, axis=1) + a * a)) * max_x2)
+            _rescaled_chunk(kernel, kind, step, 1000)
             ref_w, ref_a = reference_chunk(ref_w, ref_a, xs, ys, kind, step, 1000)
             assert w.tobytes() == ref_w.tobytes()
             assert a.tobytes() == ref_a.tobytes()
-
-    def test_chunk_leaves_its_input_alone(self):
-        data = four_point_dataset()
-        theta = balanced_live_init(data, 8, 0.1, SeededRng(42, 0))
-        before_w, before_a = theta.weights.tobytes(), theta.outputs.tobytes()
-        _rescaled_chunk(theta.weights, theta.outputs, data.points, data.labels,
-                        "exponential", 1e-2, 10)
-        assert theta.weights.tobytes() == before_w
-        assert theta.outputs.tobytes() == before_a
 
 
 class TestDirectionalLimit:
@@ -595,6 +592,41 @@ class TestDirectionalLimit:
         theta = balanced_live_init(data, 8, 0.1, SeededRng(41, 0))
         with pytest.raises(ValueError, match="target_loss must be positive and finite"):
             train_to_directional_limit(theta, data, "exponential", target, 2000)
+
+    def test_theta0_is_left_alone(self):
+        # the run passes a rescale and stops on a period-2 return
+        data = four_point_dataset()
+        theta = balanced_live_init(data, 8, 0.1, SeededRng(97531, verify._BASE_COROLLARY2))
+        before_w, before_a = theta.weights.tobytes(), theta.outputs.tobytes()
+        train_to_directional_limit(theta, data, "exponential", 1e-6, 100_000)
+        assert theta.weights.tobytes() == before_w
+        assert theta.outputs.tobytes() == before_a
+
+    @pytest.mark.parametrize("spoil", [0.0, math.nan])
+    def test_a_chunk_that_raises_the_loss_is_undone_and_ends_training(self, monkeypatch, spoil):
+        # the third chunk, which starts on a rescale, ends on weights all
+        # equal to ``spoil``: margins of 0 (the loss of an untrained net) or nan
+        data = four_point_dataset()
+        theta = balanced_live_init(data, 8, 0.1, SeededRng(97531, verify._BASE_COROLLARY2))
+        two_chunks = train_to_directional_limit(theta, data, "exponential", 1e-6, 2000)
+        chunk, starts = gradient_flow._rescaled_chunk, []
+
+        def spoil_third(kernel, kind, step, steps):
+            starts.append(kernel.theta.copy())
+            chunk(kernel, kind, step, steps)
+            if len(starts) == 3:
+                kernel.theta[:] = spoil
+
+        monkeypatch.setattr(gradient_flow, "_rescaled_chunk", spoil_third)
+        with np.errstate(invalid="ignore"):
+            net, used, log_loss, log_growth, period = train_to_directional_limit(
+                theta, data, "exponential", 1e-6, 100_000
+            )
+        assert len(starts) == 3 and (used, period) == (2000, 0)
+        assert np.concatenate([net.weights.ravel(), net.outputs]).tobytes() == starts[2].tobytes()
+        margins = Kernel(data.points, data.labels, net.weights, net.outputs).forward()
+        assert log_loss == _log_loss(margins, "exponential")[0] > two_chunks[2]
+        assert log_growth == two_chunks[3]
 
     def test_a_rescale_does_not_undo_reaching_the_target(self):
         # A rescale raises the loss.  When that took a loss that had reached
@@ -749,3 +781,33 @@ def test_four_point_dataset_shape():
     data = four_point_dataset()
     assert data.points.shape == (4, 2)
     assert list(data.labels) == [1.0, 1.0, -1.0, -1.0]
+
+
+
+def _nan_calls():
+    """call -> (the argument set to nan, the call)"""
+    data = four_point_dataset()
+    theta = balanced_live_init(data, 4, 0.5, SeededRng(5, 0))
+    net = random_init(16, 4, SeededRng(5, 1))
+    model = BernoulliModel(direction=np.full(16, 0.25), radius=4.0, bias=0.2)
+    return {
+        "theorem1_rhs": ("rho", lambda: theorem1_rhs(64, 8, math.nan, 0.4, 0.05, 0.01)),
+        "optimize_program": (
+            "lr", lambda: optimize_program(net, model, 1, 5, math.nan, 16, SeededRng(5, 2))
+        ),
+        "balanced_live_init": (
+            "scale", lambda: balanced_live_init(data, 4, math.nan, SeededRng(5, 3))
+        ),
+        "train": ("step_size", lambda: train(theta, data, "exponential", math.nan, 10)),
+        "train_to_crossing": (
+            "step_size", lambda: train_to_crossing([theta], [data], "exponential", math.nan, 10)
+        ),
+    }
+
+
+@pytest.mark.parametrize("call", list(_nan_calls()))
+def test_nan_argument_is_a_value_error_naming_it(call):
+    # a check written as x <= 0 lets nan through, to fail late or not at all
+    name, run = _nan_calls()[call]
+    with pytest.raises(ValueError, match=f"^{name} must be positive"):
+        run()
