@@ -225,6 +225,10 @@ def train_to_crossing(
     :class:`NonFiniteLoss` if any run's loss leaves the finite range.
     """
     _check_trainer(kind, step_size, max_steps)
+    if len(thetas) != len(datasets):
+        raise ValueError(f"{len(thetas)} nets for {len(datasets)} datasets")
+    if any(theta.d != data.d for theta, data in zip(thetas, datasets)):
+        raise ValueError("weight dimension does not match the dataset")
     if not thetas:
         return [], np.empty(0)
     kernel = Kernel.for_run(

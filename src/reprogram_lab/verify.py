@@ -154,7 +154,7 @@ class SuiteVerdict:
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -214,35 +214,26 @@ def theorem1_rhs(
 
 def _reprogram_trial(rng: SeededRng, d: int, k: int, rho: float, tau: float) -> float:
     """y * N(p + x) for a fresh random network, task direction, analytic
-    program p and labelled sample (x, y), all drawn from ``rng``."""
+    program p and labelled sample (x, y), all drawn from ``rng``; nan when
+    the program cannot be constructed (a construction error)."""
     net = random_init(d, k, rng)
     phi = random_hypercube_direction(d, rng)
-    program = construct_program(net, phi)
+    try:
+        program = construct_program(net, phi)
+    except (TieEncountered, GramNotPositiveDefinite):
+        return math.nan
     model = BernoulliModel(direction=phi, radius=rho, bias=tau)
     xs, ys = sample_bernoulli(model, 1, rng)
     return ys[0] * forward(net, program.offset + xs[0])
 
 
-def _theorem1_block(args) -> tuple[int, int, int]:
-    """One block of independent (network, direction, sample) trials.
-
-    Returns (violations, successes, construction_errors); a construction
-    error counts as a violation.
-    """
-    seed, start, count, d, k, rho, tau, rhs = args
-    violations = successes = errors = 0
-    for i in range(start, start + count):
-        try:
-            value = _reprogram_trial(SeededRng(seed, _BASE_THEOREM1 + i), d, k, rho, tau)
-        except (TieEncountered, GramNotPositiveDefinite):
-            errors += 1
-            violations += 1
-            continue
-        if not value > rhs:
-            violations += 1
-        if value > 0.0:
-            successes += 1
-    return violations, successes, errors
+def _theorem1_block(args) -> list[float]:
+    """theorem1's trial values for one block, in trial order."""
+    seed, start, count, d, k, rho, tau = args
+    return [
+        _reprogram_trial(SeededRng(seed, _BASE_THEOREM1 + i), d, k, rho, tau)
+        for i in range(start, start + count)
+    ]
 
 
 def available_cpus() -> int:
@@ -270,27 +261,31 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_thread_pool.cache_clear)
 
 
-def _run_blocks(fn, blocks: list, weights: int) -> list:
-    """Run blocks of trials that draw ``weights`` first-layer weights each,
-    with BLAS held to one thread.
+def _run_blocks(fn, seed: int, trials: int, d: int, k: int, rho: float, tau: float) -> np.ndarray:
+    """Values of ``trials`` trials in trial order, run by ``fn`` in blocks
+    (seed, start, count, d, k, rho, tau) of ``_TRIAL_BLOCK`` trials with
+    BLAS held to one thread.
 
-    Trials of at least ``_THREADS_MIN_WEIGHTS`` weights run on one thread
-    per available CPU, smaller ones in the calling thread.  A trial is
-    numpy ufunc loops and LAPACK calls, which release the interpreter
-    lock, so blocks on threads share the cores.  Blocks have fixed
-    granularity, own their RNG streams and return integer counts, so the
-    aggregated result is identical for every thread count and block
-    order.  With BLAS at one thread the bits of each trial do not depend
-    on the machine's BLAS thread count either.  When the BLAS thread count
-    cannot be set, the blocks run in order in the calling thread: threads
-    over a multi-threaded BLAS were slower than that.
+    Trials of at least ``_THREADS_MIN_WEIGHTS`` weights (k * d) run on one
+    thread per available CPU, smaller ones in the calling thread.  A trial
+    is numpy ufunc loops and LAPACK calls, which release the interpreter
+    lock, so blocks on threads share the cores.  Blocks own their RNG
+    streams and are joined in block order, so the values are identical for
+    every thread count; with BLAS at one thread they do not depend on the
+    machine's BLAS thread count either.  When the BLAS thread count cannot
+    be set, the blocks run in order in the calling thread: threads over a
+    multi-threaded BLAS were slower than that.
     """
+    blocks = [
+        (seed, start, min(_TRIAL_BLOCK, trials - start), d, k, rho, tau)
+        for start in range(0, trials, _TRIAL_BLOCK)
+    ]
     with one_blas_thread() as pinned:
-        if not pinned or weights < _THREADS_MIN_WEIGHTS or available_cpus() == 1:
-            return [fn(b) for b in blocks]
+        if not pinned or k * d < _THREADS_MIN_WEIGHTS or available_cpus() == 1:
+            return np.concatenate([fn(b) for b in blocks])
         futures = [_thread_pool().submit(fn, b) for b in blocks]
         try:
-            return [future.result() for future in futures]
+            return np.concatenate([future.result() for future in futures])
         finally:
             # on a failed block, let no block run on after BLAS is restored
             for future in futures:
@@ -322,15 +317,10 @@ def theorem1_montecarlo(cfg: Theorem1Config) -> SuiteVerdict:
     else:
         allowed = 1.0 - floor
         max_rate = allowed + 3.0 * math.sqrt(allowed * (1.0 - allowed) / cfg.trials)
-    blocks = [
-        (cfg.seed, start, min(_TRIAL_BLOCK, cfg.trials - start),
-         cfg.d, cfg.k, cfg.rho, cfg.tau, rhs)
-        for start in range(0, cfg.trials, _TRIAL_BLOCK)
-    ]
-    results = _run_blocks(_theorem1_block, blocks, cfg.k * cfg.d)
-    violations = sum(r[0] for r in results)
-    successes = sum(r[1] for r in results)
-    errors = sum(r[2] for r in results)
+    values = _run_blocks(_theorem1_block, cfg.seed, cfg.trials, cfg.d, cfg.k, cfg.rho, cfg.tau)
+    violations = int(np.count_nonzero(~(values > rhs)))  # a construction error violates
+    successes = int(np.count_nonzero(values > 0.0))
+    errors = int(np.count_nonzero(np.isnan(values)))
     rate = violations / cfg.trials
     return SuiteVerdict(
         name="theorem1",
@@ -377,24 +367,13 @@ def corollary1_parameters(
     return k, rho, min(raw_tau, 0.5), raw_tau > 0.5
 
 
-def _corollary1_block(args) -> tuple[int, int]:
-    """One block of corollary1 trials.
-
-    Returns (successes, construction_errors); a construction error counts
-    as a failed trial.
-    """
+def _corollary1_block(args) -> list[float]:
+    """corollary1's trial values for one block at dimension d, in order."""
     seed, start, count, d, k, rho, tau = args
-    successes = errors = 0
-    for i in range(start, start + count):
-        rng = SeededRng(seed, _BASE_COROLLARY1 + (d << 24) + i)
-        try:
-            value = _reprogram_trial(rng, d, k, rho, tau)
-        except (TieEncountered, GramNotPositiveDefinite):
-            errors += 1
-            continue
-        if value > 0.0:
-            successes += 1
-    return successes, errors
+    return [
+        _reprogram_trial(SeededRng(seed, _BASE_COROLLARY1 + (d << 24) + i), d, k, rho, tau)
+        for i in range(start, start + count)
+    ]
 
 
 def corollary1_sweep(
@@ -428,12 +407,8 @@ def corollary1_sweep(
     rows = []
     for d in d_list:
         k, rho, tau, clamped = corollary1_parameters(d, eta_k, eta_rho, eta_tau)
-        blocks = [
-            (seed, start, min(_TRIAL_BLOCK, trials - start), d, k, rho, tau)
-            for start in range(0, trials, _TRIAL_BLOCK)
-        ]
-        results = _run_blocks(_corollary1_block, blocks, k * d)
-        accuracy = sum(r[0] for r in results) / trials
+        values = _run_blocks(_corollary1_block, seed, trials, d, k, rho, tau)
+        accuracy = int(np.count_nonzero(values > 0.0)) / trials
         rows.append(
             {
                 "d": d,
@@ -443,7 +418,7 @@ def corollary1_sweep(
                 "tau_clamped": clamped,
                 "accuracy": accuracy,
                 "stderr": math.sqrt(accuracy * (1.0 - accuracy) / trials),
-                "construction_errors": sum(r[1] for r in results),
+                "construction_errors": int(np.count_nonzero(np.isnan(values))),
             }
         )
     first, last = rows[0], rows[-1]

@@ -14,9 +14,9 @@ the ``# output_dir`` echo.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import math
+import os
 import re
 import shutil
 import sys
@@ -66,10 +66,14 @@ def _combine_image_inputs(seed: int) -> None:
 def run_case(command: str, seed: int, workdir: Path) -> dict[str, str]:
     """Run one case in ``workdir``; returns its outputs as
     :func:`read_outputs` reads them."""
-    with contextlib.chdir(workdir):
+    previous = os.getcwd()
+    os.chdir(workdir)
+    try:
         if command == "combine-image":
             _combine_image_inputs(seed)
         code = cli.main([command, *CASES[command], "--seed", str(seed), "--output_dir", "out"])
+    finally:
+        os.chdir(previous)
     if code not in (0, 1):
         raise RuntimeError(f"{command} at seed {seed} exited {code}")
     return read_outputs(workdir / "out")

@@ -279,6 +279,14 @@ class TestTrainToCrossing:
         steps, margins = train_to_crossing([], [], "logistic", 1e-3, 10)
         assert steps == [] and margins.size == 0
 
+    def test_mismatched_inputs_are_named(self):
+        thetas, datasets = crossing_runs(5, 2)
+        wider = generate_orthosep(3, 2, 2, SeededRng(5, 9))
+        with pytest.raises(ValueError, match="2 nets for 1 datasets"):
+            train_to_crossing(thetas, datasets[:1], "exponential", 1e-3, 10)
+        with pytest.raises(ValueError, match="weight dimension does not match"):
+            train_to_crossing(thetas, [datasets[0], wider], "exponential", 1e-3, 10)
+
 
 def total_loss(w, a, dataset, kind):
     pre = dataset.points @ w.T

@@ -184,6 +184,35 @@ class TestTheorem1Montecarlo:
         assert threading.get_ident() not in threads
         assert strip_runtime(got) == strip_runtime(expected)
 
+    def test_a_failed_block_raises_once_every_started_block_has_ended(self, monkeypatch, cpus):
+        functions = numerics._openblas_thread_functions()
+        if functions is None:
+            pytest.skip("blocks run in the calling thread without a BLAS thread setter")
+        blas_threads = functions[0]
+        before = blas_threads()
+        started, ended, failed_on = set(), set(), []
+
+        def failing_block(args):
+            started.add(args[1])
+            try:
+                if args[1] == verify._TRIAL_BLOCK:
+                    failed_on.append(threading.get_ident())
+                    raise RuntimeError("block failed")
+                time.sleep(0.05)  # still running when the failure arrives
+                return original_block(args)
+            finally:
+                ended.add(args[1])
+
+        original_block = verify._theorem1_block
+        monkeypatch.setattr(verify, "_theorem1_block", failing_block)
+        cpus(2, WORKERS_T1.k * WORKERS_T1.d)
+        with pytest.raises(RuntimeError, match="block failed"):
+            theorem1_montecarlo(WORKERS_T1)
+        assert failed_on and threading.get_ident() not in failed_on
+        assert ended == started
+        assert len(started) < WORKERS_T1.trials // verify._TRIAL_BLOCK  # the rest were cancelled
+        assert blas_threads() == before
+
     def test_threads_are_kept_across_calls(self, cpus):
         cpus(2)
         theorem1_montecarlo(WORKERS_T1)
@@ -775,6 +804,15 @@ class TestSuiteVerdict:
         assert text.index("measured.a") < text.index("measured.b")
         assert "measured.flag = true" in text
         assert "threshold.a = 1" in text
+
+    def test_numpy_bools_render_as_words(self):
+        verdict = SuiteVerdict(
+            name="demo", passed=True, seed=3, runtime_seconds=1.5,
+            measured={"on": np.True_, "off": np.bool_(False)},
+        )
+        text = verdict_to_text(verdict)
+        assert "measured.on = true" in text
+        assert "measured.off = false" in text
 
 
 def test_four_point_dataset_shape():
