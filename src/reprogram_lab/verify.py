@@ -318,7 +318,7 @@ def theorem1_montecarlo(cfg: Theorem1Config) -> SuiteVerdict:
         allowed = 1.0 - floor
         max_rate = allowed + 3.0 * math.sqrt(allowed * (1.0 - allowed) / cfg.trials)
     values = _run_blocks(_theorem1_block, cfg.seed, cfg.trials, cfg.d, cfg.k, cfg.rho, cfg.tau)
-    violations = int(np.count_nonzero(~(values > rhs)))  # a construction error violates
+    violations = int(np.count_nonzero(~(values > rhs)))  # nan, a construction error, violates
     successes = int(np.count_nonzero(values > 0.0))
     errors = int(np.count_nonzero(np.isnan(values)))
     rate = violations / cfg.trials

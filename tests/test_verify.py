@@ -797,22 +797,15 @@ class TestSuiteVerdict:
     def test_text_rendering_is_sorted_and_typed(self):
         verdict = SuiteVerdict(
             name="demo", passed=False, seed=3, runtime_seconds=1.5,
-            measured={"b": 2, "a": 0.5, "flag": True}, threshold={"a": 1.0},
+            measured={"b": 2, "a": 0.5, "flag": True, "np_flag": np.False_},
+            threshold={"a": 1.0},
         )
         text = verdict_to_text(verdict)
         assert "passed = false" in text
         assert text.index("measured.a") < text.index("measured.b")
         assert "measured.flag = true" in text
+        assert "measured.np_flag = false" in text
         assert "threshold.a = 1" in text
-
-    def test_numpy_bools_render_as_words(self):
-        verdict = SuiteVerdict(
-            name="demo", passed=True, seed=3, runtime_seconds=1.5,
-            measured={"on": np.True_, "off": np.bool_(False)},
-        )
-        text = verdict_to_text(verdict)
-        assert "measured.on = true" in text
-        assert "measured.off = false" in text
 
 
 def test_four_point_dataset_shape():
