@@ -7,11 +7,10 @@ from .gradient_flow import TrajectoryReport
 from .maxmargin import MarginSolution
 from .network import TwoLayerNet
 from .numerics import SeededRng
-from .reprogram import AdversarialProgram, ProgramImage
+from .reprogram import ProgramImage
 from .verify import SuiteVerdict, Theorem1Config
 
 __all__ = [
-    "AdversarialProgram",
     "BernoulliModel",
     "LabeledDataset",
     "MarginSolution",

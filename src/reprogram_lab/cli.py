@@ -26,12 +26,14 @@ from .network import network_to_text, random_init
 from .numerics import SeededRng
 from .reprogram import (
     ascii_int,
+    build_target_bias,
     construct_program,
     image_from_ppm,
     image_from_text,
     image_to_ppm,
     image_to_text,
     optimize_program,
+    partition_neurons,
     scheme1_combine,
     scheme2_combine,
 )
@@ -147,17 +149,20 @@ def _theorem2(
 
 
 def _construct_program(write, seed: int, d: int = 256, k: int = 32) -> None:
+    if k > d:
+        raise ValueError(f"width k must not exceed dimension d (k = {k}, d = {d})")
     rng = SeededRng(seed, 0)
     net = random_init(d, k, rng)
     phi = random_hypercube_direction(d, rng)
-    program = construct_program(net, phi)
+    offset = construct_program(net, phi)
+    helpful, unhelpful = partition_neurons(net, phi)
     write("network.txt", network_to_text(net))
-    write("program.txt", _vector_text(program.offset))
+    write("program.txt", _vector_text(offset))
     write("diagnostics.txt", (
-        f"helpful = {program.helpful.size}\n"
-        f"unhelpful = {program.unhelpful.size}\n"
-        f"offset_norm = {program.offset_norm:.17g}\n"
-        f"target_bias_norm = {program.target_bias_norm:.17g}\n"
+        f"helpful = {helpful.size}\n"
+        f"unhelpful = {unhelpful.size}\n"
+        f"offset_norm = {float(np.linalg.norm(offset)):.17g}\n"
+        f"target_bias_norm = {float(np.linalg.norm(build_target_bias(d, k, unhelpful))):.17g}\n"
     ))
 
 

@@ -221,14 +221,20 @@ def train_to_crossing(
     at ``max_steps``.  Returns per run that crossing step (None if the
     budget ran out first) and the minimum margin at the step the run
     stopped.  Each run's numbers equal, bit for bit, those of ``train``
-    stopped just below the margin-zero loss.  Raises
-    :class:`NonFiniteLoss` if any run's loss leaves the finite range.
+    stopped just below the margin-zero loss.  Raises ``ValueError`` for
+    runs of unequal shape, :class:`NonFiniteLoss` for a non-finite loss.
     """
     _check_trainer(kind, step_size, max_steps)
     if len(thetas) != len(datasets):
         raise ValueError(f"{len(thetas)} nets for {len(datasets)} datasets")
     if any(theta.d != data.d for theta, data in zip(thetas, datasets)):
         raise ValueError("weight dimension does not match the dataset")
+    for field, shapes in (
+        ("points", {data.points.shape for data in datasets}),
+        ("weights", {theta.weights.shape for theta in thetas}),
+    ):
+        if len(shapes) > 1:
+            raise ValueError(f"runs differ in the shape of {field}: {sorted(shapes)}")
     if not thetas:
         return [], np.empty(0)
     kernel = Kernel.for_run(

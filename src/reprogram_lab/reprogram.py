@@ -30,23 +30,6 @@ SOFTSIGN_SCALE = 1.2
 
 
 @dataclass(frozen=True)
-class AdversarialProgram:
-    """Analytic program offset plus its provenance.
-
-    ``offset`` is the program p; ``helpful``/``unhelpful`` the index sets
-    of neurons aligned/anti-aligned with the task direction; the norms of
-    p and of the per-neuron target bias it induces (W p) are recorded as
-    diagnostics.
-    """
-
-    offset: np.ndarray
-    helpful: np.ndarray
-    unhelpful: np.ndarray
-    offset_norm: float
-    target_bias_norm: float
-
-
-@dataclass(frozen=True)
 class ProgramImage:
     """Colour or grayscale image with float pixel values in [-1, 1].
 
@@ -112,8 +95,8 @@ def build_target_bias(d: int, k: int, unhelpful: np.ndarray) -> np.ndarray:
     return bias
 
 
-def construct_program(net: TwoLayerNet, direction: np.ndarray) -> AdversarialProgram:
-    """Analytic adversarial program for a network and a task direction.
+def construct_program(net: TwoLayerNet, direction: np.ndarray) -> np.ndarray:
+    """Analytic adversarial program p for a network and a task direction.
 
     Requires width <= dimension with linearly independent hidden rows.
     Solves W p = b for the minimum-norm p, so that adding p to any input
@@ -129,19 +112,10 @@ def construct_program(net: TwoLayerNet, direction: np.ndarray) -> AdversarialPro
     """
     if net.k > net.d:
         raise WidthExceedsDimension(f"width {net.k} exceeds dimension {net.d}")
-    helpful, unhelpful = partition_neurons(net, direction)
-    bias = build_target_bias(net.d, net.k, unhelpful)
-    if unhelpful.size:
-        offset = min_norm_solve(net.weights, bias)
-    else:
-        offset = np.zeros(net.d)
-    return AdversarialProgram(
-        offset=offset,
-        helpful=helpful,
-        unhelpful=unhelpful,
-        offset_norm=float(np.linalg.norm(offset)),
-        target_bias_norm=float(np.linalg.norm(bias)),
-    )
+    _, unhelpful = partition_neurons(net, direction)
+    if not unhelpful.size:
+        return np.zeros(net.d)
+    return min_norm_solve(net.weights, build_target_bias(net.d, net.k, unhelpful))
 
 
 def _block_rows(d: int) -> int:

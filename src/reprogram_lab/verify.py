@@ -219,12 +219,12 @@ def _reprogram_trial(rng: SeededRng, d: int, k: int, rho: float, tau: float) -> 
     net = random_init(d, k, rng)
     phi = random_hypercube_direction(d, rng)
     try:
-        program = construct_program(net, phi)
+        offset = construct_program(net, phi)
     except (TieEncountered, GramNotPositiveDefinite):
         return math.nan
     model = BernoulliModel(direction=phi, radius=rho, bias=tau)
     xs, ys = sample_bernoulli(model, 1, rng)
-    return ys[0] * forward(net, program.offset + xs[0])
+    return ys[0] * forward(net, offset + xs[0])
 
 
 def _theorem1_block(args) -> list[float]:

@@ -30,8 +30,8 @@ from reprogram_lab.reprogram import ProgramImage, image_to_text
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SEEDS = (97531, 8191)
 
-# command -> arguments; the six suites at the configurations of
-# test_cli.py's TestSuiteWiring, the other four at small sizes
+# command -> arguments; the six suites at the configurations that
+# test_cli.py's TestSuiteWiring also runs, the other four at small sizes
 CASES = {
     "verify-theorem1": ["--d", "64", "--k", "8", "--rho", "3", "--tau", "0.4",
                         "--gamma", "0.05", "--trials", "20"],

@@ -8,11 +8,14 @@ script in pyproject.toml counts as a caller of its entry point.
 Likewise every field of the package's dataclasses must be read as an
 attribute outside its own class, in the package or in the benchmark's
 code (its tracer reads some results); a field that only its own class or
-the tests read is dead weight too."""
+the tests read is dead weight too.  And every name the package lists in
+``__all__`` must be an attribute of the package."""
 
 import ast
 import re
 from pathlib import Path
+
+import reprogram_lab
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "reprogram_lab"
@@ -92,6 +95,11 @@ def unread_dataclass_fields(package: Path, benchmark: Path) -> list[str]:
 
 def test_every_public_name_has_a_caller_in_the_package():
     assert uncalled_public_names(PACKAGE, ROOT / "pyproject.toml") == []
+
+
+def test_every_name_in_all_is_an_attribute_of_the_package():
+    missing = [name for name in reprogram_lab.__all__ if not hasattr(reprogram_lab, name)]
+    assert missing == []
 
 
 def test_guard_sees_a_test_only_function(tmp_path):

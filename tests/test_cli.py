@@ -7,6 +7,7 @@ import inspect
 import numpy as np
 import pytest
 
+from golden_corpus import CASES
 from reprogram_lab import cli, verify
 from reprogram_lab.cli import main, parse_config
 from reprogram_lab.errors import ConfigError
@@ -256,13 +257,14 @@ class TestExitCodes:
         ("verify-theorem2", ["--max_steps", "-1", "--datasets", "2"], "max_steps"),
         ("verify-appendix-a", ["--sv_d", "8", "--sv_k", "16", "--partition_trials", "5",
                                "--sv_trials", "5"], "sv_k"),
+        ("construct-program", ["--d", "8", "--k", "9"], "k"),
     ], ids=[
         "theorem1-k0", "theorem1-k-1", "theorem1-d0", "theorem1-d-above-float",
         "corollary1-d0", "corollary1-decreasing",
         "corollary1-repeated", "appendix-a-gamma0",
         "appendix-a-gamma1", "theorem2-step-1", "theorem2-step0", "corollary2-target0",
         "corollary2-target-1", "proposition-target0", "corollary2-budget-5",
-        "theorem2-steps-1", "appendix-a-k-above-d",
+        "theorem2-steps-1", "appendix-a-k-above-d", "construct-program-k-above-d",
     ])
     def test_out_of_range_parameter_is_a_config_error(
         self, tmp_path, monkeypatch, capsys, command, args, key
@@ -277,7 +279,7 @@ class TestExitCodes:
         code = run_cli([command, *args, "--output_dir", str(tmp_path / "out")])
         assert code == 2
         assert f"{key} must" in capsys.readouterr().err
-        assert not (tmp_path / "out" / f"{command}.verdict.txt").exists()
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command,args,key", [
         # a NaN target passed: target <= 0 and log_loss > log(nan) are both false
@@ -350,37 +352,28 @@ class TestExitCodes:
 
 
 class TestSuiteWiring:
-    # each suite command at a small non-default config, against the
-    # library call it should make
-    @pytest.mark.parametrize("command,args,call", [
+    # each suite command at its small non-default configuration in the
+    # golden corpus, against the library call it should make
+    @pytest.mark.parametrize("command,call", [
         ("verify-theorem1",
-         ["--d", "64", "--k", "8", "--rho", "3", "--tau", "0.4", "--gamma", "0.05",
-          "--trials", "20"],
          lambda: verify.theorem1_montecarlo(verify.Theorem1Config(
              d=64, k=8, rho=3.0, tau=0.4, gamma=0.05, gamma_dag=0.01, trials=20, seed=5,
          ))),
         ("sweep-corollary1",
-         ["--d_list", "16,32", "--trials", "20", "--eta_rho", "0.25"],
          lambda: verify.corollary1_sweep(2.0 / 3.0, 0.25, 0.2, (16, 32), 20, 5)[0]),
         ("verify-theorem2",
-         ["--datasets", "2", "--k", "6", "--n_pos", "3", "--step_size", "0.002",
-          "--max_steps", "5000"],
          lambda: verify.theorem2_suite(2, 2, 6, 3, 2, 0.002, 5000, 5)),
         ("verify-corollary2",
-         ["--k", "6", "--init_scale", "0.2", "--budget_steps", "3000"],
          lambda: verify.corollary2_suite(5, k=6, init_scale=0.2, budget_steps=3000)),
         ("verify-proposition",
-         ["--d", "16", "--trials", "200", "--opt_steps", "5", "--target_loss", "0.001"],
          lambda: verify.proposition_suite(5, d=16, trials=200, opt_steps=5, target_loss=1e-3)),
         ("verify-appendix-a",
-         ["--partition_trials", "100", "--sv_d", "64", "--sv_k", "8", "--sv_gamma", "0.05",
-          "--sv_trials", "10"],
          lambda: verify.appendix_a_suite(
              5, partition_trials=100, sv_d=64, sv_k=8, sv_gamma=0.05, sv_trials=10,
          )),
     ], ids=["theorem1", "corollary1", "theorem2", "corollary2", "proposition", "appendix-a"])
-    def test_verdict_is_the_library_verdict(self, tmp_path, command, args, call):
-        run_cli([command, *args, "--seed", "5", "--output_dir", str(tmp_path)])
+    def test_verdict_is_the_library_verdict(self, tmp_path, command, call):
+        run_cli([command, *CASES[command], "--seed", "5", "--output_dir", str(tmp_path)])
         written = [
             line for line in read_without_runtime(tmp_path / f"{command}.verdict.txt").splitlines()
             if not line.startswith("#")

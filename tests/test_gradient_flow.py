@@ -286,6 +286,19 @@ class TestTrainToCrossing:
             train_to_crossing(thetas, datasets[:1], "exponential", 1e-3, 10)
         with pytest.raises(ValueError, match="weight dimension does not match"):
             train_to_crossing(thetas, [datasets[0], wider], "exponential", 1e-3, 10)
+        # runs that are each consistent but differ from one another in shape
+        larger = generate_orthosep(2, 3, 2, SeededRng(5, 10))
+        larger_net = balanced_live_init(larger, k=4, scale=0.5, rng=SeededRng(5, 11))
+        with pytest.raises(ValueError, match=r"shape of points: \[\(4, 2\), \(5, 2\)\]"):
+            train_to_crossing([thetas[0], larger_net], [datasets[0], larger], "exponential",
+                              1e-3, 10)
+        wide_net = balanced_live_init(datasets[1], k=6, scale=0.5, rng=SeededRng(5, 12))
+        with pytest.raises(ValueError, match=r"shape of weights: \[\(4, 2\), \(6, 2\)\]"):
+            train_to_crossing([thetas[0], wide_net], datasets, "exponential", 1e-3, 10)
+        wider_net = balanced_live_init(wider, k=4, scale=0.5, rng=SeededRng(5, 13))
+        with pytest.raises(ValueError, match=r"shape of points: \[\(4, 2\), \(4, 3\)\]"):
+            train_to_crossing([thetas[0], wider_net], [datasets[0], wider], "exponential",
+                              1e-3, 10)
 
 
 def total_loss(w, a, dataset, kind):

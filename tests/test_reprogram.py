@@ -96,29 +96,35 @@ class TestConstructProgram:
         net = TwoLayerNet(
             weights=np.vstack([phi, 2.0 * phi]), outputs=np.array([0.5, 0.5])
         )
-        program = construct_program(net, phi)
-        assert program.unhelpful.size == 0
-        np.testing.assert_array_equal(program.offset, np.zeros(6))
-        assert program.target_bias_norm == 0.0
+        assert partition_neurons(net, phi)[1].size == 0
+        offset = construct_program(net, phi)
+        assert offset.shape == (6,)
+        np.testing.assert_array_equal(offset, np.zeros(6))
+        np.testing.assert_array_equal(net.weights @ offset, np.zeros(2))
 
     def test_single_anti_aligned_neuron_closed_form(self):
         d = 9
         phi = unit_direction(d)
         w = -phi + 0.1 * np.roll(phi, 1)
         net = TwoLayerNet(weights=w[None, :], outputs=np.array([1.0]))
-        program = construct_program(net, phi)
-        assert program.target_bias_norm == pytest.approx(math.sqrt(d), abs=1e-12)
+        offset = construct_program(net, phi)
+        assert float(np.linalg.norm(net.weights @ offset)) == pytest.approx(
+            math.sqrt(d), abs=1e-12
+        )
         expected = -math.sqrt(d) * w / (w @ w)
-        np.testing.assert_allclose(program.offset, expected, atol=1e-10)
+        np.testing.assert_allclose(offset, expected, atol=1e-10)
 
     def test_bias_norm_is_sqrt_d_when_unhelpful_nonempty(self):
+        # W p is the target bias, whose norm is sqrt(d) when some neuron is unhelpful
         for i in range(20):
             rng = SeededRng(63, i)
             net = random_init(24, 12, rng)
             phi = random_hypercube_direction(24, rng)
-            program = construct_program(net, phi)
-            if program.unhelpful.size:
-                assert program.target_bias_norm == pytest.approx(math.sqrt(24), abs=1e-9)
+            offset = construct_program(net, phi)
+            if partition_neurons(net, phi)[1].size:
+                assert float(np.linalg.norm(net.weights @ offset)) == pytest.approx(
+                    math.sqrt(24), abs=1e-9
+                )
 
     def test_width_exceeding_dimension_rejected(self):
         net = random_init(4, 5, SeededRng(64, 0))
@@ -129,10 +135,11 @@ class TestConstructProgram:
         rng = SeededRng(65, 0)
         net = random_init(20, 8, rng)
         phi = random_hypercube_direction(20, rng)
-        program = construct_program(net, phi)
+        offset = construct_program(net, phi)
         x = rng.gaussian(20)
-        with_program = net.weights @ (program.offset + x)
-        expected = net.weights @ x + build_target_bias(20, 8, program.unhelpful)
+        with_program = net.weights @ (offset + x)
+        _, unhelpful = partition_neurons(net, phi)
+        expected = net.weights @ x + build_target_bias(20, 8, unhelpful)
         np.testing.assert_allclose(with_program, expected, atol=1e-9)
 
     def test_offset_norm_approaches_sqrt_d(self):
@@ -145,9 +152,9 @@ class TestConstructProgram:
                 rng = SeededRng(66, (d << 8) + i)
                 net = random_init(d, 16, rng)
                 phi = random_hypercube_direction(d, rng)
-                program = construct_program(net, phi)
-                if program.unhelpful.size:
-                    ratios.append(program.offset_norm / math.sqrt(d))
+                offset = construct_program(net, phi)
+                if partition_neurons(net, phi)[1].size:
+                    ratios.append(float(np.linalg.norm(offset)) / math.sqrt(d))
             medians.append(float(np.median(ratios)))
         gaps = [abs(m - 1.0) for m in medians]
         assert gaps[0] > gaps[1] > gaps[2]
@@ -174,10 +181,10 @@ class TestReprogrammedAccuracy:
         rng = SeededRng(68, 0)
         net = random_init(d, 4, rng)
         phi = random_hypercube_direction(d, rng)
-        program = construct_program(net, phi)
+        offset = construct_program(net, phi)
         model = BernoulliModel(direction=phi, radius=1.5, bias=0.5)
-        acc_a = reprogrammed_accuracy(net, program.offset, model, 1, 500, SeededRng(68, 2))
-        acc_b = reprogrammed_accuracy(net, program.offset, model, 1, 500, SeededRng(68, 3))
+        acc_a = reprogrammed_accuracy(net, offset, model, 1, 500, SeededRng(68, 2))
+        acc_b = reprogrammed_accuracy(net, offset, model, 1, 500, SeededRng(68, 3))
         assert acc_a == acc_b == 1.0
 
     def test_zero_output_counts_as_failure(self):
