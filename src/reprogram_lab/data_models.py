@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GenerationExhausted
+from .errors import ConfigError, GenerationExhausted
 from .numerics import SeededRng
 
 # Half-angle of the cones used by generate_orthosep.  Anything below 45
@@ -36,16 +36,16 @@ class BernoulliModel:
     def __post_init__(self):
         phi = np.asarray(self.direction, dtype=np.float64)
         if phi.ndim != 1 or phi.size < 1:
-            raise ValueError("direction must be a nonempty vector")
+            raise ConfigError("direction must be a nonempty vector")
         step = 1.0 / math.sqrt(phi.size)
         if not np.all(np.abs(phi) == step):
-            raise ValueError("direction entries must be exactly ±1/sqrt(d)")
+            raise ConfigError("direction entries must be exactly ±1/sqrt(d)")
         if abs(np.linalg.norm(phi) - 1.0) > 1e-12:
-            raise ValueError("direction must have unit norm")
+            raise ConfigError("direction must have unit norm")
         if not self.radius > 0.0:
-            raise ValueError("radius must be positive")
+            raise ConfigError("radius must be positive")
         if not 0.0 < self.bias <= 0.5:
-            raise ValueError("bias must lie in (0, 1/2]")
+            raise ConfigError("bias must lie in (0, 1/2]")
         object.__setattr__(self, "direction", phi)
 
     @property
@@ -64,15 +64,15 @@ class LabeledDataset:
         x = np.asarray(self.points, dtype=np.float64)
         y = np.asarray(self.labels, dtype=np.float64)
         if x.ndim != 2 or x.shape[0] < 1:
-            raise ValueError("points must be a nonempty (n, d) array")
+            raise ConfigError("points must be a nonempty (n, d) array")
         if y.shape != (x.shape[0],):
-            raise ValueError("labels length must equal the point count")
+            raise ConfigError("labels length must equal the point count")
         if not np.all(np.isfinite(x)):
-            raise ValueError("points must be finite")
+            raise ConfigError("points must be finite")
         if np.any(np.linalg.norm(x, axis=1) == 0.0):
-            raise ValueError("points must be nonzero")
+            raise ConfigError("points must be nonzero")
         if not np.all(np.abs(y) == 1.0):
-            raise ValueError("labels must be ±1")
+            raise ConfigError("labels must be ±1")
         object.__setattr__(self, "points", x)
         object.__setattr__(self, "labels", y)
 
@@ -84,7 +84,7 @@ class LabeledDataset:
 def random_hypercube_direction(d: int, rng: SeededRng) -> np.ndarray:
     """Uniformly random hypercube vertex: each entry ±1/sqrt(d), unit norm."""
     if d < 1:
-        raise ValueError("d must be positive")
+        raise ConfigError("d must be at least 1")
     phi = rng.signs(d)
     phi *= 1.0 / math.sqrt(d)
     return phi
@@ -103,7 +103,7 @@ def sample_bernoulli(
     the points block by block, rows in order, reads the same words.
     """
     if count < 1:
-        raise ValueError("count must be at least 1")
+        raise ConfigError("count must be at least 1")
     labels = rng.signs(count)
     return bernoulli_points(model, labels, rng), labels
 
@@ -158,9 +158,9 @@ def generate_orthosep(
     construction retried on the (theoretically impossible) failure path.
     """
     if d < 2:
-        raise ValueError("d must be at least 2")
+        raise ConfigError("d must be at least 2")
     if n_pos < 1 or n_neg < 1:
-        raise ValueError("both classes need at least one point")
+        raise ConfigError("n_pos and n_neg must be at least 1")
     for _ in range(_GENERATION_RETRIES):
         axis = rng.gaussian(d)
         norm = np.linalg.norm(axis)

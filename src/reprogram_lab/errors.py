@@ -1,12 +1,19 @@
 """Exception types shared across the package.
 
-Each class names one failure mode of one operation; nothing here carries
+Every argument and input check raises :class:`ConfigError`; each other
+class names one failure mode of one operation.  Nothing here carries
 state beyond the message.
 """
 
 
 class ReprogramLabError(Exception):
     """Base class for all package-specific errors."""
+
+
+class ConfigError(ReprogramLabError, ValueError):
+    """An argument or input is outside what its operation accepts; the
+    message names the offending value.  It is a ValueError, so callers
+    that catch ValueError keep working."""
 
 
 class GramNotPositiveDefinite(ReprogramLabError):
@@ -17,24 +24,12 @@ class GramNotPositiveDefinite(ReprogramLabError):
     """
 
 
-class DimensionMismatch(ReprogramLabError):
-    """An input vector's length does not match the expected dimension."""
-
-
 class TieEncountered(ReprogramLabError):
     """A sign that should be nonzero almost surely came out as (near) zero.
 
     Raised instead of silently assigning a side, so that degenerate inputs
     surface in tests rather than skewing statistics.
     """
-
-
-class WidthExceedsDimension(ReprogramLabError):
-    """Program construction requires network width <= input dimension."""
-
-
-class ChannelMismatch(ReprogramLabError):
-    """Two images that must share a channel count do not."""
 
 
 class GenerationExhausted(ReprogramLabError):
@@ -56,11 +51,3 @@ class Infeasible(ReprogramLabError):
 
 class HypothesisViolated(ReprogramLabError):
     """A closed-form bound was requested outside its stated hypothesis."""
-
-
-class ExponentConditionViolated(ReprogramLabError):
-    """Growth-rate exponents fail the strict inequalities they must satisfy."""
-
-
-class ConfigError(ReprogramLabError):
-    """A run configuration is malformed; the message names the offending key."""

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data_models import LabeledDataset
-from .errors import LivenessExhausted, NonFiniteLoss
+from .errors import ConfigError, LivenessExhausted, NonFiniteLoss
 from .network import Kernel, TwoLayerNet
 from .numerics import SeededRng
 
@@ -88,7 +88,7 @@ def loss_value_and_derivative(kind: str, u):
     or arrays.  The derivative satisfies |l'(u)| <= l(u) everywhere.
     """
     if kind not in LOSS_KINDS:
-        raise ValueError(f"loss kind must be one of {LOSS_KINDS}")
+        raise ConfigError(f"loss kind must be one of {LOSS_KINDS}, got {kind!r}")
     with np.errstate(over="ignore"):
         value, slope = _LOSSES[kind](np.asarray(u, dtype=np.float64))
     if np.isscalar(u):
@@ -99,11 +99,11 @@ def loss_value_and_derivative(kind: str, u):
 def _check_trainer(kind: str, step_size: float, max_steps: int) -> None:
     """Argument checks shared by the two Euler trainers."""
     if kind not in LOSS_KINDS:
-        raise ValueError(f"loss kind must be one of {LOSS_KINDS}")
+        raise ConfigError(f"loss kind must be one of {LOSS_KINDS}, got {kind!r}")
     if not step_size > 0.0:
-        raise ValueError("step_size must be positive")
+        raise ConfigError("step_size must be positive")
     if max_steps < 0:
-        raise ValueError("max_steps must be >= 0")
+        raise ConfigError("max_steps must be >= 0")
 
 
 def balanced_live_init(
@@ -117,12 +117,12 @@ def balanced_live_init(
     a neuron of that output sign active on an example of that sign.
     """
     if k < 2:
-        raise ValueError("width must be at least 2")
+        raise ConfigError("k must be at least 2")
     if not scale > 0.0:
-        raise ValueError("scale must be positive")
+        raise ConfigError("scale must be positive")
     labels = dataset.labels
     if not (np.any(labels > 0) and np.any(labels < 0)):
-        raise ValueError("dataset must contain both labels")
+        raise ConfigError("dataset must contain both labels")
     d = dataset.d
     for _ in range(_INIT_RETRIES):
         w = rng.gaussian(k * d).reshape(k, d)
@@ -161,9 +161,9 @@ def train(
     """
     _check_trainer(kind, step_size, max_steps)
     if record_every < 1:
-        raise ValueError("record_every must be >= 1")
+        raise ConfigError("record_every must be >= 1")
     if theta0.d != dataset.d:
-        raise ValueError("weight dimension does not match the dataset")
+        raise ConfigError("weight dimension does not match the dataset")
     kernel = Kernel.for_run(dataset.points, dataset.labels, theta0.weights, theta0.outputs)
     w, a = kernel.w, kernel.a
     loss_of = _LOSSES[kind]
@@ -221,20 +221,20 @@ def train_to_crossing(
     at ``max_steps``.  Returns per run that crossing step (None if the
     budget ran out first) and the minimum margin at the step the run
     stopped.  Each run's numbers equal, bit for bit, those of ``train``
-    stopped just below the margin-zero loss.  Raises ``ValueError`` for
+    stopped just below the margin-zero loss.  Raises :class:`ConfigError` for
     runs of unequal shape, :class:`NonFiniteLoss` for a non-finite loss.
     """
     _check_trainer(kind, step_size, max_steps)
     if len(thetas) != len(datasets):
-        raise ValueError(f"{len(thetas)} nets for {len(datasets)} datasets")
+        raise ConfigError(f"{len(thetas)} nets for {len(datasets)} datasets")
     if any(theta.d != data.d for theta, data in zip(thetas, datasets)):
-        raise ValueError("weight dimension does not match the dataset")
+        raise ConfigError("weight dimension does not match the dataset")
     for field, shapes in (
         ("points", {data.points.shape for data in datasets}),
         ("weights", {theta.weights.shape for theta in thetas}),
     ):
         if len(shapes) > 1:
-            raise ValueError(f"runs differ in the shape of {field}: {sorted(shapes)}")
+            raise ConfigError(f"runs differ in the shape of {field}: {sorted(shapes)}")
     if not thetas:
         return [], np.empty(0)
     kernel = Kernel.for_run(
@@ -342,9 +342,9 @@ def train_to_directional_limit(
     :func:`train` does: such a start is too large to report a loss for.
     """
     if not 0.0 < target_loss < math.inf:
-        raise ValueError("target_loss must be positive and finite")
+        raise ConfigError("target_loss must be positive and finite")
     if budget_steps < 0:
-        raise ValueError("budget_steps must be >= 0")
+        raise ConfigError("budget_steps must be >= 0")
     kernel = Kernel.for_run(dataset.points, dataset.labels, theta0.weights, theta0.outputs)
     w, a, theta = kernel.w, kernel.a, kernel.theta
     max_x2 = float(np.max(np.sum(kernel.xs * kernel.xs, axis=1)))

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HypothesisViolated, Infeasible
+from .errors import ConfigError, HypothesisViolated, Infeasible
 from .numerics import min_norm_solve
 
 KKT_TOL = 1e-8
@@ -73,7 +73,7 @@ def max_margin_vector(points: np.ndarray) -> MarginSolution:
     """
     x = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if x.shape[0] < 1:
-        raise ValueError("points must be nonempty")
+        raise ConfigError("points must be nonempty")
     n, d = x.shape
     scale = float(np.max(np.linalg.norm(x, axis=1))) or 1.0
     u, resid = _nnls(np.vstack([x.T / scale, np.ones(n)]), np.append(np.zeros(d), 1.0))
@@ -149,7 +149,7 @@ def failure_probability_bound(
     phi = np.asarray(direction, dtype=np.float64)
     denom = np.linalg.norm(delta) * np.linalg.norm(phi)
     if denom == 0.0:
-        raise ValueError("v_pos - v_neg and direction must be nonzero")
+        raise ConfigError("v_pos - v_neg and direction must be nonzero")
     cos = float(delta @ phi) / float(denom)
     if m * cos >= 0.0:
         raise HypothesisViolated(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import ConfigError
 from .numerics import SeededRng
 
 
@@ -33,11 +33,11 @@ class TwoLayerNet:
         w = np.asarray(self.weights, dtype=np.float64)
         a = np.asarray(self.outputs, dtype=np.float64)
         if w.ndim != 2 or w.shape[0] < 1 or w.shape[1] < 1:
-            raise ValueError("weights must be a nonempty 2-D array")
+            raise ConfigError("weights must be a nonempty 2-D array")
         if a.shape != (w.shape[0],):
-            raise ValueError("outputs length must equal the network width")
+            raise ConfigError("outputs length must equal the network width")
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(a))):
-            raise ValueError("network weights must be finite")
+            raise ConfigError("network weights must be finite")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "outputs", a)
 
@@ -62,8 +62,10 @@ def random_init(d: int, k: int, rng: SeededRng) -> TwoLayerNet:
     Hidden weights are drawn first (row-major), then the output signs, so a
     given (seed, stream) always yields the same network bit for bit.
     """
-    if d < 1 or k < 1:
-        raise ValueError("dimensions must be positive")
+    if d < 1:
+        raise ConfigError(f"d must be at least 1, got {d}")
+    if k < 1:
+        raise ConfigError(f"k must be at least 1, got {k}")
     w = rng.gaussian(k * d).reshape(k, d)
     w *= 1.0 / math.sqrt(d)
     a = rng.signs(k)
@@ -126,7 +128,7 @@ def forward(net: TwoLayerNet, x: np.ndarray) -> float:
     """Network output for a single input vector."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (net.d,):
-        raise DimensionMismatch(f"input has shape {x.shape}, expected ({net.d},)")
+        raise ConfigError(f"input has shape {x.shape}, expected ({net.d},)")
     return float(Kernel(x[None, :], 1.0, net.weights, net.outputs).forward()[0])
 
 
@@ -134,7 +136,7 @@ def forward_batch(net: TwoLayerNet, xs: np.ndarray) -> np.ndarray:
     """Network outputs for a batch of inputs, shape (n, d) -> (n,)."""
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != net.d:
-        raise DimensionMismatch(f"batch has shape {xs.shape}, expected (n, {net.d})")
+        raise ConfigError(f"batch has shape {xs.shape}, expected (n, {net.d})")
     return Kernel(xs, 1.0, net.weights, net.outputs).forward()
 
 

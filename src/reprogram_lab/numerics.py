@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GramNotPositiveDefinite
+from .errors import ConfigError, GramNotPositiveDefinite
 
 LINSOLVE_TOL = 1e-10
 PD_PIVOT_TOL = 1e-12
@@ -186,7 +186,7 @@ class SeededRng:
     def uniform64(self, count: int) -> np.ndarray:
         """Next ``count`` raw 64-bit words as a uint64 array."""
         if count < 0:
-            raise ValueError("count must be nonnegative")
+            raise ConfigError("count must be nonnegative")
         z = self._words(self._counter, count)
         self._counter += count
         return z
@@ -231,7 +231,7 @@ class SeededRng:
         or more, but 2.5 times the output for draws of up to 2^14 pairs.
         """
         if count < 0:
-            raise ValueError("count must be nonnegative")
+            raise ConfigError("count must be nonnegative")
         if count == 0:
             return np.empty(0)
         pairs = (count + 1) // 2
@@ -328,9 +328,9 @@ def min_norm_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     w = np.asarray(mat, dtype=np.float64)
     b = np.asarray(rhs, dtype=np.float64)
     if w.ndim != 2:
-        raise ValueError("min_norm_solve expects a 2-D matrix")
+        raise ConfigError("min_norm_solve expects a 2-D matrix")
     if b.shape != (w.shape[0],):
-        raise ValueError("right-hand side length must equal the row count")
+        raise ConfigError("right-hand side length must equal the row count")
     try:
         low = np.linalg.cholesky(w @ w.T)
     except np.linalg.LinAlgError as exc:
@@ -363,7 +363,7 @@ def singular_extremes(mat: np.ndarray) -> tuple[float, float]:
     symmetric eigenvalues of the Gram matrix of its smaller side."""
     w = np.asarray(mat, dtype=np.float64)
     if w.ndim != 2 or w.size == 0:
-        raise ValueError("singular_extremes expects a nonempty 2-D matrix")
+        raise ConfigError("singular_extremes expects a nonempty 2-D matrix")
     gram = w @ w.T if w.shape[0] <= w.shape[1] else w.T @ w
     eig = np.linalg.eigvalsh(gram)
     return math.sqrt(max(float(eig[0]), 0.0)), math.sqrt(max(float(eig[-1]), 0.0))

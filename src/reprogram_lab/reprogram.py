@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_models import BernoulliModel, bernoulli_points, sample_bernoulli
-from .errors import ChannelMismatch, DimensionMismatch, TieEncountered, WidthExceedsDimension
+from .errors import ConfigError, TieEncountered
 from .gradient_flow import loss_value_and_derivative
 from .network import Kernel, TwoLayerNet, forward_batch
 from .numerics import SeededRng, min_norm_solve
@@ -41,11 +41,11 @@ class ProgramImage:
     def __post_init__(self):
         px = np.asarray(self.pixels, dtype=np.float64)
         if px.ndim != 3 or min(px.shape) < 1:
-            raise ValueError("pixels must be a nonempty (H, W, C) array")
+            raise ConfigError("pixels must be a nonempty (H, W, C) array")
         if not np.all(np.isfinite(px)):
-            raise ValueError("pixel values must be finite")
+            raise ConfigError("pixel values must be finite")
         if px.min() < -1.0 or px.max() > 1.0:
-            raise ValueError("pixel values must lie in [-1, 1]")
+            raise ConfigError("pixel values must lie in [-1, 1]")
         object.__setattr__(self, "pixels", px)
 
     @property
@@ -73,9 +73,9 @@ def partition_neurons(
     """
     phi = np.asarray(direction, dtype=np.float64)
     if phi.shape != (net.d,):
-        raise ValueError(f"direction has shape {phi.shape}, expected ({net.d},)")
+        raise ConfigError(f"direction has shape {phi.shape}, expected ({net.d},)")
     if abs(np.linalg.norm(phi) - 1.0) > 1e-9:
-        raise ValueError("direction must have unit norm")
+        raise ConfigError("direction must have unit norm")
     scores = net.outputs * (net.weights @ phi)
     ties = np.flatnonzero(np.abs(scores) < TIE_TOL)
     if ties.size:
@@ -105,13 +105,15 @@ def construct_program(net: TwoLayerNet, direction: np.ndarray) -> np.ndarray:
 
     Raises
     ------
-    WidthExceedsDimension
-        If net.k > net.d.
+    ConfigError
+        If net.k > net.d, or ``direction`` is not a unit vector of shape (d,).
+    TieEncountered
+        Propagated from :func:`partition_neurons` on a (near) zero alignment.
     GramNotPositiveDefinite
         Propagated from the solver when hidden rows are dependent.
     """
     if net.k > net.d:
-        raise WidthExceedsDimension(f"width {net.k} exceeds dimension {net.d}")
+        raise ConfigError(f"width k must not exceed dimension d (k = {net.k}, d = {net.d})")
     _, unhelpful = partition_neurons(net, direction)
     if not unhelpful.size:
         return np.zeros(net.d)
@@ -148,16 +150,16 @@ def reprogrammed_accuracy(
 
     Raises
     ------
-    DimensionMismatch
-        If ``offset`` does not have shape (d,).
+    ConfigError
+        If ``trials`` < 1, ``m`` is not ±1 or ``offset`` does not have shape (d,).
     """
     if trials < 1:
-        raise ValueError("trials must be at least 1")
+        raise ConfigError("trials must be at least 1")
     if m not in (-1, 1):
-        raise ValueError("label mapping m must be +1 or -1")
+        raise ConfigError("label mapping m must be +1 or -1")
     offset = np.asarray(offset, dtype=np.float64)
     if offset.shape != (net.d,):
-        raise DimensionMismatch(f"offset has shape {offset.shape}, expected ({net.d},)")
+        raise ConfigError(f"offset has shape {offset.shape}, expected ({net.d},)")
     labels = rng.signs(trials)
     rows = _block_rows(net.d)
     hits = 0
@@ -178,7 +180,7 @@ def bilinear_resize(pixels: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     px = np.asarray(pixels, dtype=np.float64)
     in_h, in_w = px.shape[0], px.shape[1]
     if out_h < 1 or out_w < 1:
-        raise ValueError("output size must be positive")
+        raise ConfigError("output size must be positive")
 
     def axis_coords(n_out: int, n_in: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         src = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
@@ -210,13 +212,13 @@ def scheme1_combine(program: ProgramImage, image: ProgramImage, r: float) -> Pro
     untouched; r = 1 overwrites it entirely.
     """
     if program.height != program.width:
-        raise ValueError("scheme 1 requires a square program image")
+        raise ConfigError("scheme 1 requires a square program image")
     if program.channels != image.channels:
-        raise ChannelMismatch(
+        raise ConfigError(
             f"program has {program.channels} channels, image has {image.channels}"
         )
     if not 0.0 <= r <= 1.0:
-        raise ValueError("r must lie in [0, 1]")
+        raise ConfigError("r must lie in [0, 1]")
     side = _round_half_away(r * program.width)
     if side == 0:
         return ProgramImage(pixels=program.pixels.copy())
@@ -231,11 +233,11 @@ def scheme2_combine(program: ProgramImage, image: ProgramImage, v: float) -> Pro
     """Convex blend: v * image + (1 - v) * program, after resizing the
     image to the program's shape."""
     if program.channels != image.channels:
-        raise ChannelMismatch(
+        raise ConfigError(
             f"program has {program.channels} channels, image has {image.channels}"
         )
     if not 0.0 <= v <= 1.0:
-        raise ValueError("v must lie in [0, 1]")
+        raise ConfigError("v must lie in [0, 1]")
     resized = bilinear_resize(image.pixels, program.height, program.width)
     return ProgramImage(pixels=v * resized + (1.0 - v) * program.pixels)
 
@@ -259,11 +261,11 @@ def optimize_program(
     final offset and the per-step mean batch loss.
     """
     if steps < 0:
-        raise ValueError("steps must be nonnegative")
+        raise ConfigError("steps must be nonnegative")
     if steps > 0 and (not lr > 0.0 or batch < 1):
-        raise ValueError("lr must be positive and batch at least 1")
+        raise ConfigError("lr must be positive and batch at least 1")
     if m not in (-1, 1):
-        raise ValueError("label mapping m must be +1 or -1")
+        raise ConfigError("label mapping m must be +1 or -1")
     d = net.d
     cap = SOFTSIGN_SCALE * math.sqrt(d)
     start = 2.0 * rng.random_open(d) - 1.0  # uniform in (-1, 1)
@@ -297,11 +299,14 @@ def image_from_text(text: str) -> ProgramImage:
     """Parse the format written by :func:`image_to_text`."""
     tokens = text.split()
     if len(tokens) < 3:
-        raise ValueError("image record too short")
+        raise ConfigError("image record too short")
     h, w, c = (_header_int("image", name, token) for name, token in zip("HWC", tokens))
-    values = np.array([float(v) for v in tokens[3:]])
+    try:
+        values = np.array([float(v) for v in tokens[3:]])
+    except ValueError as exc:
+        raise ConfigError(f"image pixel values must be numbers: {exc}") from None
     if values.size != h * w * c:
-        raise ValueError(f"expected {h * w * c} pixel values, found {values.size}")
+        raise ConfigError(f"expected {h * w * c} pixel values, found {values.size}")
     return ProgramImage(pixels=values.reshape(h, w, c))
 
 
@@ -309,7 +314,7 @@ def image_to_ppm(image: ProgramImage) -> bytes:
     """8-bit binary PPM; [-1, 1] maps linearly onto [0, 255], rounding
     half up."""
     if image.channels != 3:
-        raise ChannelMismatch("PPM export requires exactly 3 channels")
+        raise ConfigError("PPM export requires exactly 3 channels")
     scaled = (image.pixels + 1.0) * (255.0 / 2.0)
     bytes8 = np.clip(np.floor(scaled + 0.5), 0, 255).astype(np.uint8)
     header = f"P6\n{image.width} {image.height}\n255\n".encode("ascii")
@@ -321,7 +326,7 @@ def ascii_int(text: str) -> int:
     the other scripts' digits, underscores, plus sign or spaces of ``int``."""
     digits = text[1:] if text.startswith("-") else text
     if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"not an integer: {text!r}")
+        raise ConfigError(f"not an integer: {text!r}")
     return int(text)
 
 
@@ -331,9 +336,9 @@ def _header_int(fmt: str, name: str, token) -> int:
     try:
         value = ascii_int(token.decode("latin-1") if isinstance(token, bytes) else token)
     except ValueError:
-        raise ValueError(f"{fmt} {name} must be an integer, got {token!r}") from None
+        raise ConfigError(f"{fmt} {name} must be an integer, got {token!r}") from None
     if value < 1:
-        raise ValueError(f"{fmt} {name} must be at least 1, got {value}")
+        raise ConfigError(f"{fmt} {name} must be at least 1, got {value}")
     return value
 
 
@@ -346,7 +351,7 @@ def image_from_ppm(data: bytes) -> ProgramImage:
         while pos < len(data) and data[pos : pos + 1].isspace():
             pos += 1
         if pos == len(data):
-            raise ValueError(f"PPM header ends before its {names[len(fields)]}")
+            raise ConfigError(f"PPM header ends before its {names[len(fields)]}")
         if data[pos : pos + 1] == b"#":
             while pos < len(data) and data[pos : pos + 1] != b"\n":
                 pos += 1
@@ -357,13 +362,13 @@ def image_from_ppm(data: bytes) -> ProgramImage:
         fields.append(data[start:pos])
     pos += 1  # single whitespace after maxval
     if fields[0] != b"P6":
-        raise ValueError("only binary PPM (P6) is supported")
+        raise ConfigError("only binary PPM (P6) is supported")
     w, h, maxval = (_header_int("PPM", n, f) for n, f in zip(names[1:], fields[1:]))
     if maxval != 255:
-        raise ValueError("only maxval 255 is supported")
+        raise ConfigError("only maxval 255 is supported")
     size = h * w * 3
     if len(data) - pos < size:
-        raise ValueError(f"PPM raster has {max(len(data) - pos, 0)} bytes, expected {size}")
+        raise ConfigError(f"PPM raster has {max(len(data) - pos, 0)} bytes, expected {size}")
     raw = np.frombuffer(data, dtype=np.uint8, count=size, offset=pos)
     pixels = raw.astype(np.float64).reshape(h, w, 3) * (2.0 / 255.0) - 1.0
     return ProgramImage(pixels=pixels)

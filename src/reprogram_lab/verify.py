@@ -31,12 +31,7 @@ from .data_models import (
     random_hypercube_direction,
     sample_bernoulli,
 )
-from .errors import (
-    ExponentConditionViolated,
-    GramNotPositiveDefinite,
-    HypothesisViolated,
-    TieEncountered,
-)
+from .errors import ConfigError, GramNotPositiveDefinite, TieEncountered
 from .gradient_flow import (
     balanced_live_init,
     convergence_report,
@@ -187,19 +182,19 @@ def theorem1_rhs(
     - C4 sqrt(ln(1/gamma)/k) - C5 sqrt(ln(1/gamma_dag)/d).
     """
     if k < 1:
-        raise ValueError("k must be at least 1")
+        raise ConfigError("k must be at least 1")
     if k > d:
-        raise ValueError("width k must not exceed dimension d")
+        raise ConfigError("width k must not exceed dimension d")
     if not 0.0 < tau <= 0.5:
-        raise ValueError("tau must lie in (0, 1/2]")
+        raise ConfigError("tau must lie in (0, 1/2]")
     if not rho > 0.0:
-        raise ValueError("rho must be positive")
+        raise ConfigError("rho must be positive")
     if not (0.0 < gamma < 1.0 and 0.0 < gamma_dag < 1.0):
-        raise ValueError("gamma and gamma_dag must lie in (0, 1)")
+        raise ConfigError("gamma and gamma_dag must lie in (0, 1)")
     if 2.0 * d * tau * tau < math.log(1.0 / gamma_dag):
-        raise HypothesisViolated(
-            f"2 d tau^2 = {2 * d * tau * tau:.6g} is below ln(1/gamma_dag) = "
-            f"{math.log(1 / gamma_dag):.6g}"
+        raise ConfigError(
+            f"tau must satisfy 2 d tau^2 >= ln(1/gamma_dag), got 2 d tau^2 = "
+            f"{2 * d * tau * tau:.6g} < {math.log(1 / gamma_dag):.6g}"
         )
     scale = math.sqrt(k) * rho / math.sqrt(d)
     exponent = d * d / (2.0 * k * rho * rho)
@@ -307,7 +302,7 @@ def theorem1_montecarlo(cfg: Theorem1Config) -> SuiteVerdict:
     the outputs clear a negative number.  It is not part of the verdict.
     """
     if cfg.trials < 1:
-        raise ValueError("trials must be at least 1")
+        raise ConfigError("trials must be at least 1")
     started = time.perf_counter()
     rhs = theorem1_rhs(cfg.d, cfg.k, cfg.rho, cfg.tau, cfg.gamma, cfg.gamma_dag)
     floor = (1.0 - BOUND_C1 * cfg.gamma) * (1.0 - cfg.gamma_dag)
@@ -346,15 +341,11 @@ def validate_exponents(eta_k: float, eta_rho: float, eta_tau: float) -> None:
     """Enforce the growth-rate exponent conditions (strict inequalities)."""
     for name, value in (("eta_k", eta_k), ("eta_rho", eta_rho), ("eta_tau", eta_tau)):
         if not 0.0 <= value <= 1.0:
-            raise ExponentConditionViolated(f"{name} = {value} must lie in [0, 1]")
+            raise ConfigError(f"{name} must lie in [0, 1], got {value}")
     if not eta_rho < 1.0 - eta_k / 2.0:
-        raise ExponentConditionViolated(
-            f"eta_rho = {eta_rho} must be below 1 - eta_k/2 = {1 - eta_k / 2}"
-        )
+        raise ConfigError(f"eta_rho must be below 1 - eta_k/2 = {1 - eta_k / 2}, got {eta_rho}")
     if not eta_tau < eta_k / 2.0:
-        raise ExponentConditionViolated(
-            f"eta_tau = {eta_tau} must be below eta_k/2 = {eta_k / 2}"
-        )
+        raise ConfigError(f"eta_tau must be below eta_k/2 = {eta_k / 2}, got {eta_tau}")
 
 
 def corollary1_parameters(
@@ -396,13 +387,13 @@ def corollary1_sweep(
     """
     validate_exponents(eta_k, eta_rho, eta_tau)
     if len(d_list) < 2:
-        raise ValueError("the sweep needs at least two dimensions")
+        raise ConfigError("the sweep needs at least two dimensions")
     if min(d_list) < 1:
-        raise ValueError("every d in d_list must be at least 1")
+        raise ConfigError("every d in d_list must be at least 1")
     if any(b <= a for a, b in zip(d_list, d_list[1:])):
-        raise ValueError(f"d_list must be strictly increasing, got {tuple(d_list)}")
+        raise ConfigError(f"d_list must be strictly increasing, got {tuple(d_list)}")
     if trials < 1:
-        raise ValueError("trials must be at least 1")
+        raise ConfigError("trials must be at least 1")
     started = time.perf_counter()
     rows = []
     for d in d_list:
@@ -468,7 +459,7 @@ def theorem2_suite(
     classified correctly at the crossing.
     """
     if n_datasets < 1:
-        raise ValueError("datasets must be at least 1")
+        raise ConfigError("datasets must be at least 1")
     started = time.perf_counter()
     datasets = [
         generate_orthosep(d, n_pos, n_neg, SeededRng(seed, _BASE_THEOREM2 + 2 * i))
@@ -623,7 +614,7 @@ def proposition_suite(
     pseudo-inverse solution of W p = b rather than the exact solve.
     """
     if trials < 1:
-        raise ValueError("trials must be at least 1")
+        raise ConfigError("trials must be at least 1")
     started = time.perf_counter()
     data = generate_orthosep(d, n_pos, n_neg, SeededRng(seed, _BASE_PROPOSITION))
     theta0 = balanced_live_init(
@@ -702,11 +693,11 @@ def appendix_a_suite(
     s_min can violate the lower bound at all.
     """
     if partition_trials < 1 or sv_trials < 1:
-        raise ValueError("partition_trials and sv_trials must be at least 1")
+        raise ConfigError("partition_trials and sv_trials must be at least 1")
     if not 0.0 < sv_gamma < 1.0:
-        raise ValueError("sv_gamma must lie in (0, 1)")
+        raise ConfigError("sv_gamma must lie in (0, 1)")
     if sv_k > sv_d:
-        raise ValueError("sv_k must not exceed sv_d")
+        raise ConfigError("sv_k must not exceed sv_d")
     started = time.perf_counter()
     measured = {"partition_trials": partition_trials, "sv_trials": sv_trials}
     threshold = {}

@@ -8,8 +8,11 @@ script in pyproject.toml counts as a caller of its entry point.
 Likewise every field of the package's dataclasses must be read as an
 attribute outside its own class, in the package or in the benchmark's
 code (its tracer reads some results); a field that only its own class or
-the tests read is dead weight too.  And every name the package lists in
-``__all__`` must be an attribute of the package."""
+the tests read is dead weight too.  Every name the package lists in
+``__all__`` must be an attribute of the package.  And no code of the
+package but SuiteVerdict's own consistency check raises a plain
+ValueError: an argument or input check raises ConfigError, the one type
+the command line reports as a configuration error."""
 
 import ast
 import re
@@ -93,6 +96,27 @@ def unread_dataclass_fields(package: Path, benchmark: Path) -> list[str]:
     return unread
 
 
+def _raising_scopes(tree: ast.AST, error: str, scope: str = ""):
+    """The dotted name of the function or class around each ``raise error``
+    in ``tree`` ("" at module level), in source order."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _raising_scopes(node, error, f"{scope}.{node.name}".lstrip("."))
+            continue
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(target, "id", getattr(target, "attr", None)) == error:
+                yield scope
+        yield from _raising_scopes(node, error, scope)
+
+
+def value_error_raises(package: Path) -> list[str]:
+    return [
+        f"{path.stem}.{scope}".rstrip(".") for path in sorted(package.glob("*.py"))
+        for scope in _raising_scopes(ast.parse(path.read_text()), "ValueError")
+    ]
+
+
 def test_every_public_name_has_a_caller_in_the_package():
     assert uncalled_public_names(PACKAGE, ROOT / "pyproject.toml") == []
 
@@ -134,3 +158,23 @@ def test_guard_sees_a_field_only_its_class_reads(tmp_path):
     (benchmark / "tracer.py").write_text("def work(box):\n    return box.traced\n")
     (benchmark / "test_tracer.py").write_text("def test_it(box):\n    assert box.written\n")
     assert unread_dataclass_fields(package, benchmark) == ["alpha.Box.inner", "alpha.Box.written"]
+
+
+def test_argument_checks_raise_config_error():
+    raises = value_error_raises(PACKAGE)
+    assert [scope for scope in raises if scope != "verify.SuiteVerdict.__post_init__"] == []
+
+
+def test_guard_sees_a_value_error_raise(tmp_path):
+    (tmp_path / "alpha.py").write_text(
+        '"""Says raise ValueError(x)."""\n\n'
+        "class Box:\n    def check(self, x):\n        if x:\n"
+        "            raise ValueError(f'x = {x}')\n\n\n"
+        "def parse(text):\n    try:\n        return int(text)\n"
+        "    except ValueError:\n        raise ConfigError(text) from None\n\n\n"
+        "def bare():\n    raise ValueError  # not a ConfigError\n"
+    )
+    (tmp_path / "beta.py").write_text(
+        "import builtins\n\nif builtins:\n    raise builtins.ValueError('at import')\n"
+    )
+    assert value_error_raises(tmp_path) == ["alpha.Box.check", "alpha.bare", "beta"]

@@ -66,6 +66,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="amount"):
             parse_config("combine-image", ["--program_file", "a", "--image_file", "b"])
 
+    def test_undecodable_config_file_is_a_config_error(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"datasets = 9\n\xff\n")
+        with pytest.raises(ConfigError, match="unreadable"):
+            parse_config("verify-theorem2", ["--config", str(cfg)])
+
     def test_theorem1_derived_defaults(self):
         values = parse_config("verify-theorem1", [])
         assert values["rho"] == pytest.approx(4096**0.3)
@@ -258,6 +264,12 @@ class TestExitCodes:
         ("verify-appendix-a", ["--sv_d", "8", "--sv_k", "16", "--partition_trials", "5",
                                "--sv_trials", "5"], "sv_k"),
         ("construct-program", ["--d", "8", "--k", "9"], "k"),
+        ("construct-program", ["--d", "8", "--k", "0"], "k"),
+        ("optimize-program", ["--d", "8", "--k", "0"], "k"),
+        # outside Corollary 1's exponent conditions and Theorem 1's
+        # hypothesis 2 d tau^2 >= ln(1/gamma_dag)
+        ("sweep-corollary1", ["--eta_rho", "0.9", "--trials", "10"], "eta_rho"),
+        ("verify-theorem1", ["--d", "16", "--k", "4", "--tau", "0.01"], "tau"),
     ], ids=[
         "theorem1-k0", "theorem1-k-1", "theorem1-d0", "theorem1-d-above-float",
         "corollary1-d0", "corollary1-decreasing",
@@ -265,6 +277,8 @@ class TestExitCodes:
         "appendix-a-gamma1", "theorem2-step-1", "theorem2-step0", "corollary2-target0",
         "corollary2-target-1", "proposition-target0", "corollary2-budget-5",
         "theorem2-steps-1", "appendix-a-k-above-d", "construct-program-k-above-d",
+        "construct-program-k0", "optimize-program-k0", "corollary1-eta-rho",
+        "theorem1-tau-hypothesis",
     ])
     def test_out_of_range_parameter_is_a_config_error(
         self, tmp_path, monkeypatch, capsys, command, args, key
@@ -284,8 +298,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("command,args,key", [
         # a NaN target passed: target <= 0 and log_loss > log(nan) are both false
         ("verify-corollary2", ["--target_loss", "nan", "--budget_steps", "2000"], "target_loss"),
-        # these exited 1 with NonFiniteLoss, LivenessExhausted and
-        # ExponentConditionViolated
+        # before the parser rejected them, these failed late in training,
+        # in the live initialisation and in the exponent check
         ("verify-theorem2", ["--datasets", "1", "--step_size", "nan"], "step_size"),
         ("verify-theorem2", ["--datasets", "1", "--step_size", "inf"], "step_size"),
         ("verify-corollary2", ["--init_scale", "nan"], "init_scale"),
@@ -307,17 +321,20 @@ class TestExitCodes:
     def test_help_exits_0(self):
         assert run_cli(["--help"]) == 0
 
-    def test_linalg_error_is_an_error_not_a_config_error(self, tmp_path, monkeypatch, capsys):
-        # LinAlgError subclasses ValueError, which the CLI reports as a
-        # configuration error; a failing factorisation is the library's
+    @pytest.mark.parametrize("error", [np.linalg.LinAlgError, ValueError])
+    def test_linalg_error_is_an_error_not_a_config_error(
+        self, tmp_path, monkeypatch, capsys, error
+    ):
+        # only ConfigError is a configuration error; a failing factorisation
+        # or a ValueError from inside the library is the library's failure
         def broken_suite(*args, **kwargs):
-            raise np.linalg.LinAlgError("Matrix is not positive definite")
+            raise error("Matrix is not positive definite")
 
         monkeypatch.setattr(cli, "appendix_a_suite", broken_suite)
         code = run_cli(["verify-appendix-a", "--output_dir", str(tmp_path / "out")])
         assert code == 1
         err = capsys.readouterr().err
-        assert "error: LinAlgError: Matrix is not positive definite" in err
+        assert f"error: {error.__name__}: Matrix is not positive definite" in err
         assert "configuration error" not in err
 
     @pytest.mark.parametrize("init_scale,seed", [("20", "8"), ("40", "2")])
@@ -530,6 +547,36 @@ class TestCombineImage:
             "--output_dir", str(tmp_path / "x"),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("extra,message", [
+        (["--scheme", "1"], "program has 1 channels, image has 3"),
+        (["--scheme", "2"], "program has 1 channels, image has 3"),
+        # PPM export is checked before combined.txt is written
+        (["--image_file", "gray.txt", "--write_ppm", "true"], "requires exactly 3 channels"),
+    ], ids=["scheme1", "scheme2", "ppm"])
+    def test_channel_mismatch_is_config_error(self, tmp_path, monkeypatch, capsys, extra, message):
+        self.make_images(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "gray.txt").write_text(image_to_text(ProgramImage(pixels=np.zeros((8, 8, 1)))))
+        code = run_cli([
+            "combine-image", "--amount", "0.5", "--program_file", "gray.txt",
+            "--image_file", "image.txt", "--output_dir", "x", *extra,
+        ])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("body", [b"1 1 1 \xff", b"1 1 1 0.5x", b"\xff\xfe1 1 1 0"])
+    def test_malformed_image_file_is_config_error(self, tmp_path, capsys, body):
+        _, _, prog_path, img_path = self.make_images(tmp_path)
+        img_path.write_bytes(body)
+        code = run_cli([
+            "combine-image", "--amount", "0.5", "--program_file", str(prog_path),
+            "--image_file", str(img_path), "--output_dir", str(tmp_path / "x"),
+        ])
+        assert code == 2
+        assert "configuration error: image" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_bad_scheme_is_config_error(self, tmp_path):
         _, _, prog_path, img_path = self.make_images(tmp_path)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from reprogram_lab.errors import DimensionMismatch
+from reprogram_lab.errors import ConfigError
 from reprogram_lab.gradient_flow import loss_value_and_derivative
 from reprogram_lab.network import (
     Kernel,
@@ -64,9 +64,9 @@ class TestForward:
 
     def test_dimension_mismatch(self):
         net = random_init(4, 3, SeededRng(6, 0))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ConfigError):
             forward(net, np.zeros(5))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ConfigError):
             forward_batch(net, np.zeros((2, 5)))
 
     def test_batch_agrees_with_single(self):

@@ -1,6 +1,7 @@
 """Fuzz tests for the parsers of outside input: the text and PPM image
 records and the command-line configuration.  Each may reject its input only
-with its named error, and must return promptly."""
+with ConfigError, which the command line reports as a configuration error,
+and must return promptly."""
 
 import contextlib
 import os
@@ -69,12 +70,12 @@ def ppm_records(draw):
 class TestImageParsers:
     @given(st.one_of(st.text(max_size=200), text_records()))
     def test_text_image_raises_only_value_error(self, text):
-        image = parses_or_names(image_from_text, text, ValueError)
+        image = parses_or_names(image_from_text, text, ConfigError)
         assert image is None or isinstance(image, ProgramImage)
 
     @given(st.one_of(st.binary(max_size=200), ppm_records()))
     def test_ppm_image_raises_only_value_error(self, data):
-        image = parses_or_names(image_from_ppm, data, ValueError)
+        image = parses_or_names(image_from_ppm, data, ConfigError)
         assert image is None or isinstance(image, ProgramImage)
 
 

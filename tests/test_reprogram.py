@@ -9,12 +9,7 @@ import pytest
 
 from reprogram_lab import reprogram
 from reprogram_lab.data_models import BernoulliModel, random_hypercube_direction, sample_bernoulli
-from reprogram_lab.errors import (
-    ChannelMismatch,
-    DimensionMismatch,
-    TieEncountered,
-    WidthExceedsDimension,
-)
+from reprogram_lab.errors import ConfigError, TieEncountered
 from reprogram_lab.network import TwoLayerNet, forward_batch, random_init
 from reprogram_lab.gradient_flow import loss_value_and_derivative
 from reprogram_lab.numerics import SeededRng
@@ -128,7 +123,7 @@ class TestConstructProgram:
 
     def test_width_exceeding_dimension_rejected(self):
         net = random_init(4, 5, SeededRng(64, 0))
-        with pytest.raises(WidthExceedsDimension):
+        with pytest.raises(ConfigError, match="k must"):
             construct_program(net, unit_direction(4))
 
     def test_program_acts_as_per_neuron_bias(self):
@@ -247,7 +242,7 @@ class TestReprogrammedAccuracy:
         d = 16
         net = random_init(d, 4, SeededRng(85, 0))
         model = BernoulliModel(direction=unit_direction(d), radius=2.0, bias=0.2)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ConfigError):
             reprogrammed_accuracy(net, np.ones(shape), model, 1, 100, SeededRng(86, 0))
 
 
@@ -294,7 +289,7 @@ class TestScheme1:
         np.testing.assert_array_equal(direct, permuted)
 
     def test_channel_mismatch(self):
-        with pytest.raises(ChannelMismatch):
+        with pytest.raises(ConfigError):
             scheme1_combine(random_image(8, 8, 3, seed=78), random_image(4, 4, 1, seed=79), 0.5)
 
     def test_non_square_program_rejected(self):
@@ -384,7 +379,7 @@ class TestImageSerialisation:
         assert body == bytes([0, 0, 0, 255, 255, 255])
 
     def test_ppm_requires_three_channels(self):
-        with pytest.raises(ChannelMismatch):
+        with pytest.raises(ConfigError):
             image_to_ppm(random_image(2, 2, 1, seed=94))
 
     @pytest.mark.parametrize("data,field", [

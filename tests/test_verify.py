@@ -11,12 +11,7 @@ import numpy as np
 import pytest
 
 from reprogram_lab import gradient_flow, numerics, verify
-from reprogram_lab.errors import (
-    ExponentConditionViolated,
-    GramNotPositiveDefinite,
-    HypothesisViolated,
-    TieEncountered,
-)
+from reprogram_lab.errors import ConfigError, GramNotPositiveDefinite, TieEncountered
 from reprogram_lab.data_models import BernoulliModel, LabeledDataset
 from reprogram_lab.gradient_flow import (
     _log_loss,
@@ -113,7 +108,7 @@ class TestTheorem1Rhs:
 
     def test_hypothesis_enforced(self):
         # 2 d tau^2 = 0.02 < ln(1/0.5)
-        with pytest.raises(HypothesisViolated):
+        with pytest.raises(ConfigError, match="^tau must"):
             theorem1_rhs(100, 10, 1.0, 0.01, 0.1, 0.5)
 
     def test_width_cannot_exceed_dimension(self):
@@ -330,7 +325,7 @@ class TestTheorem1FloorExample:
             for gd in np.geomspace(1e-4, 0.5, 40):
                 try:
                     rhs = theorem1_rhs(d, k, rho, tau, float(g), float(gd))
-                except HypothesisViolated:
+                except ConfigError:
                     continue
                 if rhs > 0.0:
                     best_floor = max(best_floor, (1 - BOUND_C1 * g) * (1 - gd))
@@ -347,11 +342,11 @@ class TestTheorem1FloorExample:
 class TestCorollary1:
     def test_exponent_validation(self):
         validate_exponents(2.0 / 3.0, 0.3, 0.2)
-        with pytest.raises(ExponentConditionViolated):
+        with pytest.raises(ConfigError, match="^eta_tau must"):
             validate_exponents(2.0 / 3.0, 0.3, 0.4)  # eta_tau >= eta_k / 2
-        with pytest.raises(ExponentConditionViolated):
+        with pytest.raises(ConfigError, match="^eta_rho must"):
             validate_exponents(2.0 / 3.0, 0.7, 0.2)  # eta_rho >= 1 - eta_k / 2
-        with pytest.raises(ExponentConditionViolated):
+        with pytest.raises(ConfigError, match="^eta_k must"):
             validate_exponents(1.2, 0.1, 0.2)
 
     def test_parameter_derivation(self):
