@@ -8,15 +8,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, GenerationExhausted
+from .errors import ConfigError, ReprogramLabError
 from .numerics import SeededRng
 
-# Half-angle of the cones used by generate_orthosep.  Anything below 45
-# degrees guarantees both separability conditions: two points within the
-# same cone are at most 2*40 = 80 degrees apart (positive inner product),
-# and points from antipodal cones are at least 100 degrees apart.
+# Half-angle of the cones used by generate_orthosep; see its docstring.
 _CONE_HALF_ANGLE = math.radians(40.0)
-_GENERATION_RETRIES = 1000
 
 
 @dataclass(frozen=True)
@@ -153,30 +149,27 @@ def generate_orthosep(
     """Random orthogonally separable dataset with the requested class sizes.
 
     Positives are drawn in a 40-degree cone around a random unit axis and
-    negatives around its antipode, which guarantees both sign conditions;
-    the result is certified with :func:`check_orthosep` anyway and the
-    construction retried on the (theoretically impossible) failure path.
+    negatives around its antipode, with norms in [0.75, 1.25].  Same-class
+    pairs are then at most 80 degrees apart and cross-class pairs at least
+    100, so same-class inner products are at least 0.75² cos 80° ≈ 0.098
+    and cross-class ones at most -0.098: one draw always suffices.  The
+    result is certified with :func:`check_orthosep` all the same, and a
+    failed check raises :class:`ReprogramLabError`.
     """
     if d < 2:
         raise ConfigError("d must be at least 2")
     if n_pos < 1 or n_neg < 1:
         raise ConfigError("n_pos and n_neg must be at least 1")
-    for _ in range(_GENERATION_RETRIES):
-        axis = rng.gaussian(d)
-        norm = np.linalg.norm(axis)
-        if norm < 1e-12:
-            continue
-        axis /= norm
-        points = np.empty((n_pos + n_neg, d))
-        for i in range(n_pos):
-            points[i] = _cone_point(axis, rng)
-        for i in range(n_neg):
-            points[n_pos + i] = _cone_point(-axis, rng)
-        labels = np.concatenate([np.ones(n_pos), -np.ones(n_neg)])
-        dataset = LabeledDataset(points=points, labels=labels)
-        if check_orthosep(dataset):
-            return dataset
-    raise GenerationExhausted(
-        f"no orthogonally separable dataset found in {_GENERATION_RETRIES} attempts"
-    )
+    axis = rng.gaussian(d)
+    axis /= np.linalg.norm(axis)
+    points = np.empty((n_pos + n_neg, d))
+    for i in range(n_pos):
+        points[i] = _cone_point(axis, rng)
+    for i in range(n_neg):
+        points[n_pos + i] = _cone_point(-axis, rng)
+    labels = np.concatenate([np.ones(n_pos), -np.ones(n_neg)])
+    dataset = LabeledDataset(points=points, labels=labels)
+    if not check_orthosep(dataset):
+        raise ReprogramLabError("generated dataset is not orthogonally separable")
+    return dataset
 

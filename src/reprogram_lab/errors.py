@@ -1,8 +1,10 @@
 """Exception types shared across the package.
 
-Every argument and input check raises :class:`ConfigError`; each other
-class names one failure mode of one operation.  Nothing here carries
-state beyond the message.
+Each class names a failure that a caller can meet at run time.  Every
+argument and input check, including a value outside a claim's hypothesis,
+raises :class:`ConfigError`.  A failed internal self-check, which no input
+is known to reach, raises the base :class:`ReprogramLabError`.  Nothing
+here carries state beyond the message.
 """
 
 
@@ -32,22 +34,5 @@ class TieEncountered(ReprogramLabError):
     """
 
 
-class GenerationExhausted(ReprogramLabError):
-    """A rejection-sampling generator ran out of retries."""
-
-
-class LivenessExhausted(ReprogramLabError):
-    """Initialisation retries ran out before the live condition held."""
-
-
 class NonFiniteLoss(ReprogramLabError):
     """Training produced a non-finite loss (step size too large)."""
-
-
-class Infeasible(ReprogramLabError):
-    """The margin problem has no feasible point: a convex combination of
-    the points is the origin."""
-
-
-class HypothesisViolated(ReprogramLabError):
-    """A closed-form bound was requested outside its stated hypothesis."""

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data_models import LabeledDataset
-from .errors import ConfigError, LivenessExhausted, NonFiniteLoss
+from .errors import ConfigError, NonFiniteLoss, ReprogramLabError
 from .network import Kernel, TwoLayerNet
 from .numerics import SeededRng
 
@@ -115,6 +115,9 @@ def balanced_live_init(
     every output weight is ±scale, so |outputs[j]| equals the row norm.
     The draw is resampled until it is live: for each label sign there is
     a neuron of that output sign active on an example of that sign.
+    With k >= 2 a draw is live with probability at least 1/8, so the
+    1,000 draws run out, raising :class:`ReprogramLabError`, with
+    probability at most (7/8)^1000, about 1e-58.
     """
     if k < 2:
         raise ConfigError("k must be at least 2")
@@ -135,7 +138,7 @@ def balanced_live_init(
         kernel.forward()  # for its active mask, (n, k)
         if all(np.any(kernel.active[labels == s][:, np.sign(a) == s]) for s in (1.0, -1.0)):
             return TwoLayerNet(weights=w, outputs=a)
-    raise LivenessExhausted(f"no live initialisation found in {_INIT_RETRIES} draws")
+    raise ReprogramLabError(f"no live initialisation found in {_INIT_RETRIES} draws")
 
 
 def train(

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, HypothesisViolated, Infeasible
+from .errors import ConfigError
 from .numerics import min_norm_solve
 
 KKT_TOL = 1e-8
@@ -68,17 +68,20 @@ def max_margin_vector(points: np.ndarray) -> MarginSolution:
     of X_A v = 1 on them and the multipliers its coefficients in them,
     which avoids the cancellation in u / (1 - sum(u)).
 
-    Raises :class:`Infeasible` if ||r||² is within rounding of zero: a
-    convex combination of the points is then the origin.
+    Raises :class:`ConfigError` if a point is not finite, or if ||r||² is
+    within rounding of zero: a convex combination of the points is then
+    the origin.
     """
     x = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if x.shape[0] < 1:
         raise ConfigError("points must be nonempty")
+    if not np.all(np.isfinite(x)):
+        raise ConfigError("points must be finite")
     n, d = x.shape
     scale = float(np.max(np.linalg.norm(x, axis=1))) or 1.0
     u, resid = _nnls(np.vstack([x.T / scale, np.ones(n)]), np.append(np.zeros(d), 1.0))
     if float(resid @ resid) <= _EPS:
-        raise Infeasible("the origin is a convex combination of the points; no margin vector")
+        raise ConfigError("the origin is a convex combination of the points; no margin vector")
     rows = x[u > 0.0]
     v = min_norm_solve(rows, np.ones(len(rows)))
     v += min_norm_solve(rows, 1.0 - rows @ v)  # one refinement step, within the row space
@@ -143,16 +146,19 @@ def failure_probability_bound(
         1/2 + 1/2 * exp(-2 d bias^2 cos^2 angle(v_pos - v_neg, direction)),
 
     for every program offset.  The hypothesis m * cos(angle) < 0 is
-    enforced; outside it the bound is not claimed.
+    enforced with a :class:`ConfigError`; outside it the bound is not claimed.
     """
-    delta = np.asarray(v_pos, dtype=np.float64) - np.asarray(v_neg, dtype=np.float64)
-    phi = np.asarray(direction, dtype=np.float64)
+    pos, neg, phi = (np.asarray(v, dtype=np.float64) for v in (v_pos, v_neg, direction))
+    if not pos.shape == neg.shape == phi.shape:
+        shapes = f"{pos.shape}, {neg.shape} and {phi.shape}"
+        raise ConfigError(f"v_pos, v_neg and direction must have one shape, got {shapes}")
+    delta = pos - neg
     denom = np.linalg.norm(delta) * np.linalg.norm(phi)
-    if denom == 0.0:
-        raise ConfigError("v_pos - v_neg and direction must be nonzero")
+    if not 0.0 < denom < math.inf:
+        raise ConfigError("v_pos - v_neg and direction must be nonzero and finite")
     cos = float(delta @ phi) / float(denom)
     if m * cos >= 0.0:
-        raise HypothesisViolated(
+        raise ConfigError(
             f"m * cos(angle) = {m * cos:.6g} must be negative for the bound to apply"
         )
     return 0.5 + 0.5 * math.exp(-2.0 * d * bias * bias * cos * cos)

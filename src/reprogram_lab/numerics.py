@@ -322,8 +322,8 @@ def min_norm_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     ------
     GramNotPositiveDefinite
         If the Gram matrix is not positive definite or has a Cholesky
-        pivot L[j, j]² below ``PD_PIVOT_TOL`` (linearly dependent rows,
-        including the case k > d).
+        pivot L[j, j]² below ``PD_PIVOT_TOL`` or NaN (linearly dependent
+        rows, including the case k > d, or a NaN entry).
     """
     w = np.asarray(mat, dtype=np.float64)
     b = np.asarray(rhs, dtype=np.float64)
@@ -337,7 +337,7 @@ def min_norm_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise GramNotPositiveDefinite(f"Gram matrix is not positive definite: {exc}") from exc
     # LAPACK accepts any positive pivot; the floor also rejects tiny ones.
     pivots = np.diag(low) ** 2
-    if np.any(pivots < PD_PIVOT_TOL):
+    if not np.all(pivots >= PD_PIVOT_TOL):  # a nan pivot fails too
         raise GramNotPositiveDefinite(
             f"smallest Cholesky pivot {pivots.min():.3e} is below {PD_PIVOT_TOL:g}"
         )
@@ -364,6 +364,8 @@ def singular_extremes(mat: np.ndarray) -> tuple[float, float]:
     w = np.asarray(mat, dtype=np.float64)
     if w.ndim != 2 or w.size == 0:
         raise ConfigError("singular_extremes expects a nonempty 2-D matrix")
+    if not np.all(np.isfinite(w)):
+        raise ConfigError("singular_extremes expects finite entries")
     gram = w @ w.T if w.shape[0] <= w.shape[1] else w.T @ w
     eig = np.linalg.eigvalsh(gram)
     return math.sqrt(max(float(eig[0]), 0.0)), math.sqrt(max(float(eig[-1]), 0.0))

@@ -74,7 +74,7 @@ def partition_neurons(
     phi = np.asarray(direction, dtype=np.float64)
     if phi.shape != (net.d,):
         raise ConfigError(f"direction has shape {phi.shape}, expected ({net.d},)")
-    if abs(np.linalg.norm(phi) - 1.0) > 1e-9:
+    if not abs(np.linalg.norm(phi) - 1.0) <= 1e-9:
         raise ConfigError("direction must have unit norm")
     scores = net.outputs * (net.weights @ phi)
     ties = np.flatnonzero(np.abs(scores) < TIE_TOL)
@@ -151,7 +151,8 @@ def reprogrammed_accuracy(
     Raises
     ------
     ConfigError
-        If ``trials`` < 1, ``m`` is not ±1 or ``offset`` does not have shape (d,).
+        If ``trials`` < 1, ``m`` is not ±1, ``offset`` does not have shape
+        (d,) or ``model`` has another d than the network.
     """
     if trials < 1:
         raise ConfigError("trials must be at least 1")
@@ -160,6 +161,8 @@ def reprogrammed_accuracy(
     offset = np.asarray(offset, dtype=np.float64)
     if offset.shape != (net.d,):
         raise ConfigError(f"offset has shape {offset.shape}, expected ({net.d},)")
+    if model.d != net.d:
+        raise ConfigError(f"data model has d = {model.d}, network has d = {net.d}")
     labels = rng.signs(trials)
     rows = _block_rows(net.d)
     hits = 0
@@ -266,6 +269,8 @@ def optimize_program(
         raise ConfigError("lr must be positive and batch at least 1")
     if m not in (-1, 1):
         raise ConfigError("label mapping m must be +1 or -1")
+    if model.d != net.d:
+        raise ConfigError(f"data model has d = {model.d}, network has d = {net.d}")
     d = net.d
     cap = SOFTSIGN_SCALE * math.sqrt(d)
     start = 2.0 * rng.random_open(d) - 1.0  # uniform in (-1, 1)

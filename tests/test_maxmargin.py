@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from reprogram_lab.data_models import generate_orthosep
-from reprogram_lab.errors import HypothesisViolated, Infeasible
+from reprogram_lab.errors import ConfigError
 from reprogram_lab.maxmargin import (
     KKT_TOL,
     MarginSolution,
@@ -114,7 +114,7 @@ class TestMaxMarginVector:
             [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]],
             [[1.0, 1.0], [-2.0, -2.0]],
         ):
-            with pytest.raises(Infeasible):
+            with pytest.raises(ConfigError, match="^the origin is a convex combination"):
                 max_margin_vector(np.array(points))
 
     @pytest.mark.parametrize("cond", [1e3, 3e3, 1e4])
@@ -205,7 +205,7 @@ class TestFailureProbabilityBound:
     def test_hypothesis_enforced(self):
         v_pos, v_neg = np.array([1.0, 0.0]), np.array([-1.0, 0.0])
         aligned = np.array([1.0, 0.0])
-        with pytest.raises(HypothesisViolated):
+        with pytest.raises(ConfigError, match="must be negative"):
             failure_probability_bound(v_pos, v_neg, aligned, d=100, bias=0.1, m=1)
         # the opposite mapping satisfies the hypothesis for the same phi
         assert failure_probability_bound(v_pos, v_neg, aligned, d=100, bias=0.1, m=-1) < 1.0

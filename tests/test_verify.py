@@ -20,9 +20,15 @@ from reprogram_lab.gradient_flow import (
     train,
     train_to_crossing,
 )
+from reprogram_lab.maxmargin import failure_probability_bound, max_margin_vector
 from reprogram_lab.network import Kernel, TwoLayerNet, random_init
 from reprogram_lab.numerics import SeededRng
-from reprogram_lab.reprogram import build_target_bias, optimize_program
+from reprogram_lab.reprogram import (
+    build_target_bias,
+    construct_program,
+    optimize_program,
+    reprogrammed_accuracy,
+)
 from reprogram_lab.verify import (
     BOUND_C1,
     BOUND_C2,
@@ -808,29 +814,76 @@ def test_four_point_dataset_shape():
 
 
 def _nan_calls():
-    """call -> (the argument set to nan, the call)"""
+    """call -> (expected error, its message pattern, the call)"""
     data = four_point_dataset()
     theta = balanced_live_init(data, 4, 0.5, SeededRng(5, 0))
     net = random_init(16, 4, SeededRng(5, 1))
     model = BernoulliModel(direction=np.full(16, 0.25), radius=4.0, bias=0.2)
+    model_d4 = BernoulliModel(direction=np.full(4, 0.5), radius=4.0, bias=0.2)
+    nan_entry = np.eye(2, 4)
+    nan_entry[0, 0] = math.nan
+    v_pos, v_neg = np.array([1.0, 0.0]), np.array([-1.0, 0.0])
     return {
-        "theorem1_rhs": ("rho", lambda: theorem1_rhs(64, 8, math.nan, 0.4, 0.05, 0.01)),
+        "theorem1_rhs": (
+            ConfigError, "^rho must be positive",
+            lambda: theorem1_rhs(64, 8, math.nan, 0.4, 0.05, 0.01),
+        ),
         "optimize_program": (
-            "lr", lambda: optimize_program(net, model, 1, 5, math.nan, 16, SeededRng(5, 2))
+            ConfigError, "^lr must be positive",
+            lambda: optimize_program(net, model, 1, 5, math.nan, 16, SeededRng(5, 2)),
         ),
         "balanced_live_init": (
-            "scale", lambda: balanced_live_init(data, 4, math.nan, SeededRng(5, 3))
+            ConfigError, "^scale must be positive",
+            lambda: balanced_live_init(data, 4, math.nan, SeededRng(5, 3)),
         ),
-        "train": ("step_size", lambda: train(theta, data, "exponential", math.nan, 10)),
+        "train": (
+            ConfigError, "^step_size must be positive",
+            lambda: train(theta, data, "exponential", math.nan, 10),
+        ),
         "train_to_crossing": (
-            "step_size", lambda: train_to_crossing([theta], [data], "exponential", math.nan, 10)
+            ConfigError, "^step_size must be positive",
+            lambda: train_to_crossing([theta], [data], "exponential", math.nan, 10),
+        ),
+        "construct_program": (
+            ConfigError, "^direction must have unit norm",
+            lambda: construct_program(net, np.full(16, math.nan)),
+        ),
+        "failure_probability_bound": (
+            ConfigError, "^v_pos - v_neg and direction must be nonzero and finite",
+            lambda: failure_probability_bound(v_pos, v_neg, np.full(2, math.nan), 100, 0.1, 1),
+        ),
+        "min_norm_solve": (
+            GramNotPositiveDefinite, "^smallest Cholesky pivot nan",
+            lambda: numerics.min_norm_solve(nan_entry, np.ones(2)),
+        ),
+        "singular_extremes": (
+            ConfigError, "^singular_extremes expects finite entries",
+            lambda: numerics.singular_extremes(nan_entry),
+        ),
+        "max_margin_vector": (
+            ConfigError, "^points must be finite",
+            lambda: max_margin_vector(np.array([[1.0, math.nan], [1.0, 1.0]])),
+        ),
+        "reprogrammed_accuracy-model-d": (
+            ConfigError, "^data model has d = 4, network has d = 16",
+            lambda: reprogrammed_accuracy(net, np.zeros(16), model_d4, 1, 10, SeededRng(5, 4)),
+        ),
+        "optimize_program-model-d": (
+            ConfigError, "^data model has d = 4, network has d = 16",
+            lambda: optimize_program(net, model_d4, 1, 5, 0.1, 16, SeededRng(5, 5)),
+        ),
+        "failure_probability_bound-lengths": (
+            ConfigError,
+            r"^v_pos, v_neg and direction must have one shape, got \(2,\), \(3,\) and \(2,\)",
+            lambda: failure_probability_bound(v_pos, np.zeros(3), -v_pos, 100, 0.1, 1),
         ),
     }
 
 
 @pytest.mark.parametrize("call", list(_nan_calls()))
 def test_nan_argument_is_a_value_error_naming_it(call):
-    # a check written as x <= 0 lets nan through, to fail late or not at all
-    name, run = _nan_calls()[call]
-    with pytest.raises(ValueError, match=f"^{name} must be positive"):
+    # a check written as x <= 0 lets nan through, to fail late or not at
+    # all, and a size mismatch must not surface as numpy's broadcast error
+    error, pattern, run = _nan_calls()[call]
+    with pytest.raises(error, match=pattern):
         run()
