@@ -16,6 +16,7 @@ import inspect
 import math
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +111,20 @@ def _command(fn, *keys: str) -> tuple[dict, object]:
     return schema, runner
 
 
+@contextmanager
+def _named_as(**keys: str):
+    """Re-raise a library ConfigError that begins with one of ``keys``'
+    field names under the CLI key it maps to, so messages name what the
+    user typed."""
+    try:
+        yield
+    except ConfigError as exc:
+        field, _, rest = str(exc).partition(" ")
+        if field not in keys:
+            raise
+        raise ConfigError(f"{keys[field]} {rest}") from exc
+
+
 def _vector_text(vector: np.ndarray) -> str:
     head = f"{vector.size}\n"
     return head + " ".join(format(v, ".17g") for v in vector) + "\n"
@@ -172,7 +187,8 @@ def _optimize_program(
     rng = SeededRng(seed, 0)
     net = random_init(d, k, rng)
     phi = random_hypercube_direction(d, rng)
-    model = BernoulliModel(direction=phi, radius=rho, bias=tau)
+    with _named_as(radius="rho", bias="tau"):
+        model = BernoulliModel(direction=phi, radius=rho, bias=tau)
     offset, losses = optimize_program(net, model, m, steps, lr, batch, rng)
     write("program.txt", _vector_text(offset))
     write("loss_curve.csv", "step,loss\n" + "\n".join(
@@ -208,12 +224,13 @@ def _combine_image(
 ) -> None:
     program = _read_image(program_file)
     image = _read_image(image_file)
-    if scheme == 1:
-        combined = scheme1_combine(program, image, amount)
-    elif scheme == 2:
-        combined = scheme2_combine(program, image, amount)
-    else:
-        raise ConfigError("key 'scheme': must be 1 or 2")
+    with _named_as(r="amount", v="amount"):
+        if scheme == 1:
+            combined = scheme1_combine(program, image, amount)
+        elif scheme == 2:
+            combined = scheme2_combine(program, image, amount)
+        else:
+            raise ConfigError("key 'scheme': must be 1 or 2")
     ppm = image_to_ppm(combined) if write_ppm else None  # checked before any write
     write("combined.txt", image_to_text(combined))
     if ppm is not None:
@@ -279,10 +296,15 @@ def parse_config(command: str, argv: list[str]) -> dict:
     for key, raw in file_pairs + pairs:  # command line wins over file
         if key not in schema:
             raise ConfigError(f"unknown key {key!r} for command {command!r}")
+        kind = schema[key][0]
         try:
-            values[key] = _PARSERS[schema[key][0]](raw)
+            values[key] = _PARSERS[kind](raw)
         except ValueError as exc:
             raise ConfigError(f"key {key!r}: {exc}") from exc
+        # an integer past float range overflows the suites' float arithmetic
+        ints = values[key] if kind == "tuple[int, ...]" else (values[key],) if kind == "int" else ()
+        if any(abs(value) > sys.float_info.max for value in ints):
+            raise ConfigError(f"{key} must not exceed {sys.float_info.max:.3g} in magnitude")
 
     for key, (_, default) in schema.items():
         if default is inspect.Parameter.empty and key not in values:
@@ -297,8 +319,8 @@ def parse_config(command: str, argv: list[str]) -> dict:
             raise ConfigError(f"{SEED_ENV_VAR}: {exc}") from exc
 
     if command == "verify-theorem1":
-        if not 1 <= values["d"] <= sys.float_info.max:
-            raise ConfigError(f"d must lie in [1, {sys.float_info.max:.3g}], got {values['d']}")
+        if values["d"] < 1:
+            raise ConfigError(f"d must be at least 1, got {values['d']}")
         if values["rho"] is None:
             values["rho"] = float(values["d"]) ** 0.3
         if values["tau"] is None:

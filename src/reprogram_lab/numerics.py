@@ -10,9 +10,12 @@ word to a quarter turn exactly in integers and evaluates fdlibm's kernel
 polynomials with float adds and multiplies, so the draws depend on no
 libm but numpy's ``np.log`` for the radius.
 
-:func:`one_blas_thread` holds numpy's bundled OpenBLAS to one thread, so
-that threads running trials side by side do not oversubscribe the cores
-and LAPACK results do not depend on the machine's BLAS thread count.
+:func:`one_blas_thread` holds numpy's bundled OpenBLAS to one thread.  It
+decorates every verification suite, so that threads running trials side
+by side do not oversubscribe the cores, LAPACK results do not depend on
+the machine's BLAS thread count, and no idle BLAS thread busy-waits on a
+core.  The count is process-wide: suites started at once from two Python
+threads can end each other's hold early.
 
 Numerical slack lives in two module constants so it can be audited in
 one place:
@@ -296,6 +299,10 @@ def one_blas_thread():
 
     Yields True when the count was set (it is restored on exit) and False
     when no OpenBLAS thread setter was found, in which case nothing changes.
+    As ``@one_blas_thread()`` it decorates every suite in ``verify``.  The
+    count is process-wide, not per Python thread, so two holds that overlap
+    on different threads can end each other's hold early or leave the count
+    at one.
     """
     functions = _openblas_thread_functions()
     if functions is None:

@@ -6,6 +6,9 @@ guarantee for gradient flow, the directional-convergence corollary, the
 failure bound for trained networks, and the singular-value / bias-vector
 facts behind the analytic program.  Every suite is deterministic given
 (config, seed): verdicts and all measured statistics replay bitwise.
+Every suite runs with numpy's OpenBLAS held to one thread
+(``numerics.one_blas_thread``), and restores the caller's count when it
+returns or raises.
 
 Statistical slack is three binomial standard errors on a rate, and two
 combined standard errors on corollary1's accuracy gap.  A suite whose
@@ -18,6 +21,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -185,6 +189,8 @@ def theorem1_rhs(
         raise ConfigError("k must be at least 1")
     if k > d:
         raise ConfigError("width k must not exceed dimension d")
+    if d > sys.float_info.max:
+        raise ConfigError(f"d must not exceed {sys.float_info.max:.3g}")
     if not 0.0 < tau <= 0.5:
         raise ConfigError("tau must lie in (0, 1/2]")
     if not rho > 0.0:
@@ -288,6 +294,7 @@ def _run_blocks(fn, seed: int, trials: int, d: int, k: int, rho: float, tau: flo
             wait(futures)
 
 
+@one_blas_thread()
 def theorem1_montecarlo(cfg: Theorem1Config) -> SuiteVerdict:
     """Monte-Carlo check of the random-network output bound.
 
@@ -367,6 +374,7 @@ def _corollary1_block(args) -> list[float]:
     ]
 
 
+@one_blas_thread()
 def corollary1_sweep(
     eta_k: float,
     eta_rho: float,
@@ -439,6 +447,7 @@ def corollary1_sweep(
     return verdict, rows
 
 
+@one_blas_thread()
 def theorem2_suite(
     n_datasets: int,
     d: int,
@@ -502,6 +511,7 @@ def theorem2_suite(
     )
 
 
+@one_blas_thread()
 def corollary2_suite(
     seed: int,
     k: int = 8,
@@ -585,6 +595,7 @@ def signed_vertex_against(delta: np.ndarray, m: int) -> np.ndarray:
     return -m * signs / math.sqrt(d)
 
 
+@one_blas_thread()
 def proposition_suite(
     seed: int,
     d: int = 64,
@@ -670,6 +681,7 @@ def proposition_suite(
     )
 
 
+@one_blas_thread()
 def appendix_a_suite(
     seed: int,
     partition_d: int = 64,

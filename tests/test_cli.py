@@ -270,6 +270,13 @@ class TestExitCodes:
         # hypothesis 2 d tau^2 >= ln(1/gamma_dag)
         ("sweep-corollary1", ["--eta_rho", "0.9", "--trials", "10"], "eta_rho"),
         ("verify-theorem1", ["--d", "16", "--k", "4", "--tau", "0.01"], "tau"),
+        # integers past float range overflow the suites' float arithmetic
+        ("sweep-corollary1", ["--d_list", "256,1" + "0" * 400, "--trials", "10"], "d_list"),
+        ("verify-appendix-a", ["--sv_d", "1" + "0" * 400, "--sv_trials", "5"], "sv_d"),
+        ("verify-proposition", ["--d", "1" + "0" * 400, "--trials", "100"], "d"),
+        # the data model's radius and bias, named by the keys that set them
+        ("optimize-program", ["--rho", "-1", "--steps", "5"], "rho"),
+        ("optimize-program", ["--tau", "0.7", "--steps", "5"], "tau"),
     ], ids=[
         "theorem1-k0", "theorem1-k-1", "theorem1-d0", "theorem1-d-above-float",
         "corollary1-d0", "corollary1-decreasing",
@@ -278,7 +285,8 @@ class TestExitCodes:
         "corollary2-target-1", "proposition-target0", "corollary2-budget-5",
         "theorem2-steps-1", "appendix-a-k-above-d", "construct-program-k-above-d",
         "construct-program-k0", "optimize-program-k0", "corollary1-eta-rho",
-        "theorem1-tau-hypothesis",
+        "theorem1-tau-hypothesis", "corollary1-d-above-float", "appendix-a-sv-d-above-float",
+        "proposition-d-above-float", "optimize-program-rho-1", "optimize-program-tau-above-half",
     ])
     def test_out_of_range_parameter_is_a_config_error(
         self, tmp_path, monkeypatch, capsys, command, args, key
@@ -564,6 +572,17 @@ class TestCombineImage:
         ])
         assert code == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("scheme", ["1", "2"])
+    def test_amount_out_of_range_names_the_key(self, tmp_path, capsys, scheme):
+        _, _, prog_path, img_path = self.make_images(tmp_path)
+        code = run_cli([
+            "combine-image", "--scheme", scheme, "--amount", "2", "--program_file",
+            str(prog_path), "--image_file", str(img_path), "--output_dir", str(tmp_path / "x"),
+        ])
+        assert code == 2
+        assert "amount must lie in [0, 1]" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("body", [b"1 1 1 \xff", b"1 1 1 0.5x", b"\xff\xfe1 1 1 0"])

@@ -1,9 +1,9 @@
 """Every CLI command's outputs against the golden corpus (see
 golden_corpus.py, which also rewrites the corpus).  Each case prints the
 sha256 of the text it wrote, and whether that text is bitwise the stored
-text (run pytest with -s to see them).  The three training suites also
-run as ``python -m reprogram_lab.cli`` processes under one and two
-OpenBLAS threads."""
+text (run pytest with -s to see them).  The six suites also run as
+``python -m reprogram_lab.cli`` processes under one and two OpenBLAS
+threads, so no verdict depends on the BLAS thread count."""
 
 import os
 import subprocess
@@ -41,7 +41,10 @@ def test_outputs_match_the_corpus(tmp_path, command, seed):
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-@pytest.mark.parametrize("command", ["verify-corollary2", "verify-proposition", "verify-theorem2"])
+@pytest.mark.parametrize("command", [
+    "verify-theorem1", "sweep-corollary1", "verify-theorem2", "verify-corollary2",
+    "verify-proposition", "verify-appendix-a",
+])
 def test_cli_process_matches_the_corpus_under_blas_threads(tmp_path, command, threads):
     env = {
         **os.environ,

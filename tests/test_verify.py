@@ -121,6 +121,11 @@ class TestTheorem1Rhs:
         with pytest.raises(ValueError):
             theorem1_rhs(10, 11, 1.0, 0.3, 0.1, 0.1)
 
+    def test_dimension_past_float_range_is_a_config_error(self):
+        # 2 d tau^2 would raise OverflowError converting d to float
+        with pytest.raises(ConfigError, match="^d must not exceed"):
+            theorem1_rhs(10**400, 4, 2.0, 0.3, 0.01, 0.01)
+
     def test_value_at_reference_configuration(self):
         # frozen by direct evaluation of the closed form
         d = 4096
@@ -887,3 +892,63 @@ def test_nan_argument_is_a_value_error_naming_it(call):
     error, pattern, run = _nan_calls()[call]
     with pytest.raises(error, match=pattern):
         run()
+
+
+# suite -> (a BLAS-using callee it looks up on verify, a tiny call of it)
+_HOLD_CALLS = {
+    "theorem1": ("construct_program", lambda: theorem1_montecarlo(WORKERS_T1)),
+    "corollary1": (
+        "construct_program", lambda: corollary1_sweep(2.0 / 3.0, 0.3, 0.2, (16, 32), 10, 1),
+    ),
+    "theorem2": (
+        "train_to_crossing",
+        lambda: theorem2_suite(1, 2, 4, 2, 2, step_size=1e-3, max_steps=2000, seed=1),
+    ),
+    "corollary2": ("train_to_directional_limit", lambda: corollary2_suite(1, budget_steps=2000)),
+    "proposition": (
+        "reprogrammed_accuracy",
+        lambda: proposition_suite(
+            1, d=16, trials=100, budget_steps=2000, target_loss=1e-3, opt_steps=5,
+        ),
+    ),
+    "appendix_a": (
+        "singular_extremes",
+        lambda: appendix_a_suite(1, partition_trials=10, sv_d=64, sv_k=8, sv_trials=5),
+    ),
+}
+
+
+class TestSuitesHoldOneBlasThread:
+    @pytest.fixture
+    def blas_threads(self):
+        """OpenBLAS's thread-count getter, with the count set to 2 for the test."""
+        functions = numerics._openblas_thread_functions()
+        if functions is None:
+            pytest.skip("numpy's BLAS exposes no OpenBLAS thread setter")
+        getter, setter = functions
+        before = getter()
+        setter(2)
+        yield getter
+        setter(before)
+
+    @pytest.mark.parametrize("suite", list(_HOLD_CALLS))
+    def test_blas_runs_on_one_thread_inside_and_the_count_is_restored(
+        self, monkeypatch, blas_threads, suite
+    ):
+        callee, call = _HOLD_CALLS[suite]
+        original = getattr(verify, callee)
+        seen = []
+
+        def recording(*args, **kwargs):
+            seen.append(blas_threads())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(verify, callee, recording)
+        call()
+        assert seen and set(seen) == {1}
+        assert blas_threads() == 2
+
+    def test_the_count_is_restored_when_a_suite_raises(self, blas_threads):
+        with pytest.raises(ConfigError, match="datasets must be at least 1"):
+            theorem2_suite(0, 2, 4, 2, 2, step_size=1e-3, max_steps=2000, seed=1)
+        assert blas_threads() == 2
