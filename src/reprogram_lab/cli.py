@@ -16,7 +16,6 @@ import inspect
 import math
 import os
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -111,20 +110,6 @@ def _command(fn, *keys: str) -> tuple[dict, object]:
     return schema, runner
 
 
-@contextmanager
-def _named_as(**keys: str):
-    """Re-raise a library ConfigError that begins with one of ``keys``'
-    field names under the CLI key it maps to, so messages name what the
-    user typed."""
-    try:
-        yield
-    except ConfigError as exc:
-        field, _, rest = str(exc).partition(" ")
-        if field not in keys:
-            raise
-        raise ConfigError(f"{keys[field]} {rest}") from exc
-
-
 def _vector_text(vector: np.ndarray) -> str:
     head = f"{vector.size}\n"
     return head + " ".join(format(v, ".17g") for v in vector) + "\n"
@@ -187,8 +172,7 @@ def _optimize_program(
     rng = SeededRng(seed, 0)
     net = random_init(d, k, rng)
     phi = random_hypercube_direction(d, rng)
-    with _named_as(radius="rho", bias="tau"):
-        model = BernoulliModel(direction=phi, radius=rho, bias=tau)
+    model = BernoulliModel(direction=phi, rho=rho, tau=tau)
     offset, losses = optimize_program(net, model, m, steps, lr, batch, rng)
     write("program.txt", _vector_text(offset))
     write("loss_curve.csv", "step,loss\n" + "\n".join(
@@ -224,13 +208,12 @@ def _combine_image(
 ) -> None:
     program = _read_image(program_file)
     image = _read_image(image_file)
-    with _named_as(r="amount", v="amount"):
-        if scheme == 1:
-            combined = scheme1_combine(program, image, amount)
-        elif scheme == 2:
-            combined = scheme2_combine(program, image, amount)
-        else:
-            raise ConfigError("key 'scheme': must be 1 or 2")
+    if scheme == 1:
+        combined = scheme1_combine(program, image, amount)
+    elif scheme == 2:
+        combined = scheme2_combine(program, image, amount)
+    else:
+        raise ConfigError("key 'scheme': must be 1 or 2")
     ppm = image_to_ppm(combined) if write_ppm else None  # checked before any write
     write("combined.txt", image_to_text(combined))
     if ppm is not None:
@@ -380,7 +363,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:  # every argument and input check raises it
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (ReprogramLabError, ValueError) as exc:  # a failure of the library or numpy
+    except (ReprogramLabError, ValueError, MemoryError) as exc:  # the library's or numpy's
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

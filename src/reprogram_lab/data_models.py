@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ReprogramLabError
-from .numerics import SeededRng
+from .numerics import MAX_ENTRIES, SeededRng
 
 # Half-angle of the cones used by generate_orthosep; see its docstring.
 _CONE_HALF_ANGLE = math.radians(40.0)
@@ -20,14 +20,14 @@ class BernoulliModel:
     """Two-class distribution over scaled hypercube vertices.
 
     ``direction`` is a unit hypercube vertex (entries exactly ±1/sqrt(d)),
-    ``radius`` scales the vertices, and ``bias`` in (0, 1/2] controls task
+    ``rho`` scales the vertices, and ``tau`` in (0, 1/2] controls task
     difficulty: each coordinate of a sample keeps its class sign with
-    probability 1/2 + bias.
+    probability 1/2 + tau.
     """
 
     direction: np.ndarray
-    radius: float
-    bias: float
+    rho: float
+    tau: float
 
     def __post_init__(self):
         phi = np.asarray(self.direction, dtype=np.float64)
@@ -38,10 +38,10 @@ class BernoulliModel:
             raise ConfigError("direction entries must be exactly ±1/sqrt(d)")
         if abs(np.linalg.norm(phi) - 1.0) > 1e-12:
             raise ConfigError("direction must have unit norm")
-        if not self.radius > 0.0:
-            raise ConfigError("radius must be positive")
-        if not 0.0 < self.bias <= 0.5:
-            raise ConfigError("bias must lie in (0, 1/2]")
+        if not self.rho > 0.0:
+            raise ConfigError("rho must be positive")
+        if not 0.0 < self.tau <= 0.5:
+            raise ConfigError("tau must lie in (0, 1/2]")
         object.__setattr__(self, "direction", phi)
 
     @property
@@ -92,8 +92,8 @@ def sample_bernoulli(
     """Draw labelled samples; returns (points (count, d), labels (count,)).
 
     Per sample: the label y is uniform on ±1, the point starts at
-    y * radius * direction, and each coordinate's sign flips independently
-    with probability 1/2 - bias.  The stream is read in a fixed order: all
+    y * rho * direction, and each coordinate's sign flips independently
+    with probability 1/2 - tau.  The stream is read in a fixed order: all
     ``count`` labels first, then the count·d flips row-major (see
     :func:`bernoulli_points`).  A caller that draws the labels and then
     the points block by block, rows in order, reads the same words.
@@ -107,12 +107,12 @@ def sample_bernoulli(
 def bernoulli_points(model: BernoulliModel, labels: np.ndarray, rng: SeededRng) -> np.ndarray:
     """Points (n, d) for given labels (n,), drawing n·d flips row-major.
 
-    Coordinate j of row i is labels[i] * radius * direction[j], its sign
-    flipped when its uniform draw is below 1/2 - bias, so every coordinate
-    is exactly ±radius/sqrt(d).
+    Coordinate j of row i is labels[i] * rho * direction[j], its sign
+    flipped when its uniform draw is below 1/2 - tau, so every coordinate
+    is exactly ±rho/sqrt(d).
     """
-    base = model.radius * model.direction
-    flip = rng.random(labels.size * model.d).reshape(labels.size, model.d) < (0.5 - model.bias)
+    base = model.rho * model.direction
+    flip = rng.random(labels.size * model.d).reshape(labels.size, model.d) < (0.5 - model.tau)
     points = np.where(flip, -base, base)
     points *= labels[:, None]
     return points
@@ -160,9 +160,12 @@ def generate_orthosep(
         raise ConfigError("d must be at least 2")
     if n_pos < 1 or n_neg < 1:
         raise ConfigError("n_pos and n_neg must be at least 1")
+    n = n_pos + n_neg
+    if n * d > MAX_ENTRIES:
+        raise ConfigError(f"d must be at most {MAX_ENTRIES // n} for {n} points, got {d}")
     axis = rng.gaussian(d)
     axis /= np.linalg.norm(axis)
-    points = np.empty((n_pos + n_neg, d))
+    points = np.empty((n, d))
     for i in range(n_pos):
         points[i] = _cone_point(axis, rng)
     for i in range(n_neg):

@@ -134,7 +134,7 @@ def failure_probability_bound(
     v_neg: np.ndarray,
     direction: np.ndarray,
     d: int,
-    bias: float,
+    tau: float,
     m: int,
 ) -> float:
     """Upper bound on reprogrammed accuracy of a direction-converged network.
@@ -143,7 +143,7 @@ def failure_probability_bound(
     against m * (v_pos - v_neg), the probability of correct reprogrammed
     classification is at most
 
-        1/2 + 1/2 * exp(-2 d bias^2 cos^2 angle(v_pos - v_neg, direction)),
+        1/2 + 1/2 * exp(-2 d tau^2 cos^2 angle(v_pos - v_neg, direction)),
 
     for every program offset.  The hypothesis m * cos(angle) < 0 is
     enforced with a :class:`ConfigError`; outside it the bound is not claimed.
@@ -161,4 +161,4 @@ def failure_probability_bound(
         raise ConfigError(
             f"m * cos(angle) = {m * cos:.6g} must be negative for the bound to apply"
         )
-    return 0.5 + 0.5 * math.exp(-2.0 * d * bias * bias * cos * cos)
+    return 0.5 + 0.5 * math.exp(-2.0 * d * tau * tau * cos * cos)

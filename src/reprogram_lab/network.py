@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .numerics import SeededRng
+from .numerics import MAX_ENTRIES, SeededRng
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,8 @@ def random_init(d: int, k: int, rng: SeededRng) -> TwoLayerNet:
         raise ConfigError(f"d must be at least 1, got {d}")
     if k < 1:
         raise ConfigError(f"k must be at least 1, got {k}")
+    if k * d > MAX_ENTRIES:
+        raise ConfigError(f"d must be at most {MAX_ENTRIES // k} for k = {k}, got {d}")
     w = rng.gaussian(k * d).reshape(k, d)
     w *= 1.0 / math.sqrt(d)
     a = rng.signs(k)

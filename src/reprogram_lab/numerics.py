@@ -41,6 +41,10 @@ from .errors import ConfigError, GramNotPositiveDefinite
 LINSOLVE_TOL = 1e-10
 PD_PIVOT_TOL = 1e-12
 
+# Most float64 entries a drawn array may hold: half numpy's cap (the
+# largest intp, in bytes), so a Gaussian draw rounded up to even fits.
+MAX_ENTRIES = np.iinfo(np.intp).max // 16
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _SECOND = 0xD1B54A32D192ED03

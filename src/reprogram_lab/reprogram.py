@@ -206,13 +206,13 @@ def _round_half_away(value: float) -> int:
     return int(math.floor(value + 0.5)) if value >= 0 else -int(math.floor(-value + 0.5))
 
 
-def scheme1_combine(program: ProgramImage, image: ProgramImage, r: float) -> ProgramImage:
+def scheme1_combine(program: ProgramImage, image: ProgramImage, amount: float) -> ProgramImage:
     """Centre-paste combination: overwrite the middle of the program.
 
     The input image is resized (bilinear) to a square of side
-    round(r * program.width) and pasted centred, with top-left offset
-    floor((width - side) / 2) on both axes.  r = 0 leaves the program
-    untouched; r = 1 overwrites it entirely.
+    round(amount * program.width) and pasted centred, with top-left offset
+    floor((width - side) / 2) on both axes.  amount = 0 leaves the program
+    untouched; amount = 1 overwrites it entirely.
     """
     if program.height != program.width:
         raise ConfigError("scheme 1 requires a square program image")
@@ -220,9 +220,9 @@ def scheme1_combine(program: ProgramImage, image: ProgramImage, r: float) -> Pro
         raise ConfigError(
             f"program has {program.channels} channels, image has {image.channels}"
         )
-    if not 0.0 <= r <= 1.0:
-        raise ConfigError("r must lie in [0, 1]")
-    side = _round_half_away(r * program.width)
+    if not 0.0 <= amount <= 1.0:
+        raise ConfigError("amount must lie in [0, 1]")
+    side = _round_half_away(amount * program.width)
     if side == 0:
         return ProgramImage(pixels=program.pixels.copy())
     pasted = bilinear_resize(image.pixels, side, side)
@@ -232,17 +232,17 @@ def scheme1_combine(program: ProgramImage, image: ProgramImage, r: float) -> Pro
     return ProgramImage(pixels=out)
 
 
-def scheme2_combine(program: ProgramImage, image: ProgramImage, v: float) -> ProgramImage:
-    """Convex blend: v * image + (1 - v) * program, after resizing the
-    image to the program's shape."""
+def scheme2_combine(program: ProgramImage, image: ProgramImage, amount: float) -> ProgramImage:
+    """Convex blend: amount * image + (1 - amount) * program, after
+    resizing the image to the program's shape."""
     if program.channels != image.channels:
         raise ConfigError(
             f"program has {program.channels} channels, image has {image.channels}"
         )
-    if not 0.0 <= v <= 1.0:
-        raise ConfigError("v must lie in [0, 1]")
+    if not 0.0 <= amount <= 1.0:
+        raise ConfigError("amount must lie in [0, 1]")
     resized = bilinear_resize(image.pixels, program.height, program.width)
-    return ProgramImage(pixels=v * resized + (1.0 - v) * program.pixels)
+    return ProgramImage(pixels=amount * resized + (1.0 - amount) * program.pixels)
 
 
 def optimize_program(

@@ -223,18 +223,23 @@ def _reprogram_trial(rng: SeededRng, d: int, k: int, rho: float, tau: float) -> 
         offset = construct_program(net, phi)
     except (TieEncountered, GramNotPositiveDefinite):
         return math.nan
-    model = BernoulliModel(direction=phi, radius=rho, bias=tau)
+    model = BernoulliModel(direction=phi, rho=rho, tau=tau)
     xs, ys = sample_bernoulli(model, 1, rng)
     return ys[0] * forward(net, offset + xs[0])
 
 
 def _theorem1_block(args) -> list[float]:
-    """theorem1's trial values for one block, in trial order."""
-    seed, start, count, d, k, rho, tau = args
+    """One block's trial values in trial order; trial i draws stream base + i."""
+    seed, start, count, d, k, rho, tau, base = args
     return [
-        _reprogram_trial(SeededRng(seed, _BASE_THEOREM1 + i), d, k, rho, tau)
+        _reprogram_trial(SeededRng(seed, base + i), d, k, rho, tau)
         for i in range(start, start + count)
     ]
+
+
+# One body, two names: the benchmark's tracer wraps each name apart, so
+# each suite must look up its own name when it runs.
+_corollary1_block = _theorem1_block
 
 
 def available_cpus() -> int:
@@ -262,10 +267,12 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_thread_pool.cache_clear)
 
 
-def _run_blocks(fn, seed: int, trials: int, d: int, k: int, rho: float, tau: float) -> np.ndarray:
+def _run_blocks(
+    fn, seed: int, trials: int, d: int, k: int, rho: float, tau: float, base: int
+) -> np.ndarray:
     """Values of ``trials`` trials in trial order, run by ``fn`` in blocks
-    (seed, start, count, d, k, rho, tau) of ``_TRIAL_BLOCK`` trials with
-    BLAS held to one thread.
+    (seed, start, count, d, k, rho, tau, base) of ``_TRIAL_BLOCK`` trials
+    with BLAS held to one thread; ``base`` is the stream id of trial 0.
 
     Trials of at least ``_THREADS_MIN_WEIGHTS`` weights (k * d) run on one
     thread per available CPU, smaller ones in the calling thread.  A trial
@@ -278,7 +285,7 @@ def _run_blocks(fn, seed: int, trials: int, d: int, k: int, rho: float, tau: flo
     multi-threaded BLAS were slower than that.
     """
     blocks = [
-        (seed, start, min(_TRIAL_BLOCK, trials - start), d, k, rho, tau)
+        (seed, start, min(_TRIAL_BLOCK, trials - start), d, k, rho, tau, base)
         for start in range(0, trials, _TRIAL_BLOCK)
     ]
     with one_blas_thread() as pinned:
@@ -319,7 +326,9 @@ def theorem1_montecarlo(cfg: Theorem1Config) -> SuiteVerdict:
     else:
         allowed = 1.0 - floor
         max_rate = allowed + 3.0 * math.sqrt(allowed * (1.0 - allowed) / cfg.trials)
-    values = _run_blocks(_theorem1_block, cfg.seed, cfg.trials, cfg.d, cfg.k, cfg.rho, cfg.tau)
+    values = _run_blocks(
+        _theorem1_block, cfg.seed, cfg.trials, cfg.d, cfg.k, cfg.rho, cfg.tau, _BASE_THEOREM1
+    )
     violations = int(np.count_nonzero(~(values > rhs)))  # nan, a construction error, violates
     successes = int(np.count_nonzero(values > 0.0))
     errors = int(np.count_nonzero(np.isnan(values)))
@@ -365,15 +374,6 @@ def corollary1_parameters(
     return k, rho, min(raw_tau, 0.5), raw_tau > 0.5
 
 
-def _corollary1_block(args) -> list[float]:
-    """corollary1's trial values for one block at dimension d, in order."""
-    seed, start, count, d, k, rho, tau = args
-    return [
-        _reprogram_trial(SeededRng(seed, _BASE_COROLLARY1 + (d << 24) + i), d, k, rho, tau)
-        for i in range(start, start + count)
-    ]
-
-
 @one_blas_thread()
 def corollary1_sweep(
     eta_k: float,
@@ -389,9 +389,10 @@ def corollary1_sweep(
     rho = d^eta_rho, and tau = d^-eta_tau clamped to 1/2 (flagged), then
     measures joint Monte-Carlo accuracy with label mapping m = 1; a
     construction error counts as a failed trial and is reported per d.
-    ``d_list`` must be strictly increasing.  The verdict passes when
-    accuracy at the largest d beats the smallest by more than two combined
-    standard errors, or both exceed 0.95.
+    ``d_list`` must be strictly increasing, and ``trials`` below 2^24 so
+    that the trial streams ``(d << 24) + i`` of two dimensions never meet.
+    The verdict passes when accuracy at the largest d beats the smallest by
+    more than two combined standard errors, or both exceed 0.95.
     """
     validate_exponents(eta_k, eta_rho, eta_tau)
     if len(d_list) < 2:
@@ -402,11 +403,15 @@ def corollary1_sweep(
         raise ConfigError(f"d_list must be strictly increasing, got {tuple(d_list)}")
     if trials < 1:
         raise ConfigError("trials must be at least 1")
+    if trials >= 1 << 24:
+        raise ConfigError(f"trials must be below 2^24 = {1 << 24}, got {trials}")
     started = time.perf_counter()
     rows = []
     for d in d_list:
         k, rho, tau, clamped = corollary1_parameters(d, eta_k, eta_rho, eta_tau)
-        values = _run_blocks(_corollary1_block, seed, trials, d, k, rho, tau)
+        values = _run_blocks(
+            _corollary1_block, seed, trials, d, k, rho, tau, _BASE_COROLLARY1 + (d << 24)
+        )
         accuracy = int(np.count_nonzero(values > 0.0)) / trials
         rows.append(
             {
@@ -650,7 +655,7 @@ def proposition_suite(
         phi = signed_vertex_against(delta, m)
         bound = failure_probability_bound(v_pos, v_neg, phi, d, tau, m)
         limit = bound + 3.0 * math.sqrt(bound * (1.0 - bound) / trials)
-        model = BernoulliModel(direction=phi, radius=math.sqrt(d), bias=tau)
+        model = BernoulliModel(direction=phi, rho=math.sqrt(d), tau=tau)
         tag = "pos" if m == 1 else "neg"
         measured[f"bound_m_{tag}"] = bound
         programs = {"zero": np.zeros(d)}

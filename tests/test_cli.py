@@ -274,9 +274,14 @@ class TestExitCodes:
         ("sweep-corollary1", ["--d_list", "256,1" + "0" * 400, "--trials", "10"], "d_list"),
         ("verify-appendix-a", ["--sv_d", "1" + "0" * 400, "--sv_trials", "5"], "sv_d"),
         ("verify-proposition", ["--d", "1" + "0" * 400, "--trials", "100"], "d"),
-        # the data model's radius and bias, named by the keys that set them
+        # the data model's rho and tau, named by the keys that set them
         ("optimize-program", ["--rho", "-1", "--steps", "5"], "rho"),
         ("optimize-program", ["--tau", "0.7", "--steps", "5"], "tau"),
+        ("verify-proposition", ["--tau", "0.7", "--trials", "100", "--opt_steps", "5"], "tau"),
+        # sizes inside float range but past numpy's array size limit
+        ("verify-proposition", ["--d", "1" + "0" * 20, "--trials", "100"], "d"),
+        ("verify-theorem1", ["--d", "1" + "0" * 20, "--k", "2", "--trials", "1"], "d"),
+        ("construct-program", ["--d", "1" + "0" * 20, "--k", "2"], "d"),
     ], ids=[
         "theorem1-k0", "theorem1-k-1", "theorem1-d0", "theorem1-d-above-float",
         "corollary1-d0", "corollary1-decreasing",
@@ -287,6 +292,8 @@ class TestExitCodes:
         "construct-program-k0", "optimize-program-k0", "corollary1-eta-rho",
         "theorem1-tau-hypothesis", "corollary1-d-above-float", "appendix-a-sv-d-above-float",
         "proposition-d-above-float", "optimize-program-rho-1", "optimize-program-tau-above-half",
+        "proposition-tau-above-half", "proposition-d-above-numpy", "theorem1-d-above-numpy",
+        "construct-program-d-above-numpy",
     ])
     def test_out_of_range_parameter_is_a_config_error(
         self, tmp_path, monkeypatch, capsys, command, args, key
@@ -329,12 +336,13 @@ class TestExitCodes:
     def test_help_exits_0(self):
         assert run_cli(["--help"]) == 0
 
-    @pytest.mark.parametrize("error", [np.linalg.LinAlgError, ValueError])
+    @pytest.mark.parametrize("error", [np.linalg.LinAlgError, ValueError, MemoryError])
     def test_linalg_error_is_an_error_not_a_config_error(
         self, tmp_path, monkeypatch, capsys, error
     ):
-        # only ConfigError is a configuration error; a failing factorisation
-        # or a ValueError from inside the library is the library's failure
+        # only ConfigError is a configuration error; a failing factorisation,
+        # a ValueError from inside the library or a failed allocation is the
+        # library's failure, reported in one line
         def broken_suite(*args, **kwargs):
             raise error("Matrix is not positive definite")
 

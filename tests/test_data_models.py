@@ -24,18 +24,18 @@ FOUR_POINTS = LabeledDataset(
 
 def model_for(d, rho=2.0, tau=0.25, seed=0):
     phi = random_hypercube_direction(d, SeededRng(seed, 900))
-    return BernoulliModel(direction=phi, radius=rho, bias=tau)
+    return BernoulliModel(direction=phi, rho=rho, tau=tau)
 
 
 class TestBernoulliModel:
     def test_validation(self):
         with pytest.raises(ValueError):
-            BernoulliModel(direction=np.array([0.5, 0.5]), radius=1.0, bias=0.25)
+            BernoulliModel(direction=np.array([0.5, 0.5]), rho=1.0, tau=0.25)
         phi = random_hypercube_direction(4, SeededRng(0, 0))
         with pytest.raises(ValueError):
-            BernoulliModel(direction=phi, radius=-1.0, bias=0.25)
+            BernoulliModel(direction=phi, rho=-1.0, tau=0.25)
         with pytest.raises(ValueError):
-            BernoulliModel(direction=phi, radius=1.0, bias=0.6)
+            BernoulliModel(direction=phi, rho=1.0, tau=0.6)
 
     def test_max_bias_means_no_flips(self):
         model = model_for(16, rho=3.0, tau=0.5)

@@ -187,25 +187,25 @@ class TestFailureProbabilityBound:
         v_pos = np.array([1.0, 0.0])
         v_neg = np.array([-1.0, 0.0])
         phi = np.array([-1.0, 0.0])
-        bound = failure_probability_bound(v_pos, v_neg, phi, d=100, bias=0.1, m=1)
+        bound = failure_probability_bound(v_pos, v_neg, phi, d=100, tau=0.1, m=1)
         assert bound == pytest.approx(0.5676676416183064, abs=1e-12)
 
     def test_limit_large_exponent(self):
         v_pos, v_neg = np.array([1.0, 0.0]), np.array([-1.0, 0.0])
         phi = np.array([-1.0, 0.0])
-        bound = failure_probability_bound(v_pos, v_neg, phi, d=10**7, bias=0.5, m=1)
+        bound = failure_probability_bound(v_pos, v_neg, phi, d=10**7, tau=0.5, m=1)
         assert bound == pytest.approx(0.5, abs=1e-12)
 
     def test_limit_vanishing_bias(self):
         v_pos, v_neg = np.array([1.0, 0.0]), np.array([-1.0, 0.0])
         phi = np.array([-1.0, 0.0])
-        bound = failure_probability_bound(v_pos, v_neg, phi, d=100, bias=1e-12, m=1)
+        bound = failure_probability_bound(v_pos, v_neg, phi, d=100, tau=1e-12, m=1)
         assert bound == pytest.approx(1.0, abs=1e-9)
 
     def test_hypothesis_enforced(self):
         v_pos, v_neg = np.array([1.0, 0.0]), np.array([-1.0, 0.0])
         aligned = np.array([1.0, 0.0])
         with pytest.raises(ConfigError, match="must be negative"):
-            failure_probability_bound(v_pos, v_neg, aligned, d=100, bias=0.1, m=1)
+            failure_probability_bound(v_pos, v_neg, aligned, d=100, tau=0.1, m=1)
         # the opposite mapping satisfies the hypothesis for the same phi
-        assert failure_probability_bound(v_pos, v_neg, aligned, d=100, bias=0.1, m=-1) < 1.0
+        assert failure_probability_bound(v_pos, v_neg, aligned, d=100, tau=0.1, m=-1) < 1.0

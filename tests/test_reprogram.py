@@ -163,7 +163,7 @@ class TestReprogrammedAccuracy:
         net = TwoLayerNet(
             weights=np.vstack([phi, -phi]), outputs=np.array([1.0, 1.0])
         )
-        model = BernoulliModel(direction=phi, radius=2.0, bias=0.3)
+        model = BernoulliModel(direction=phi, rho=2.0, tau=0.3)
         trials = 40_000
         acc = reprogrammed_accuracy(net, np.zeros(d), model, 1, trials, SeededRng(67, 0))
         assert abs(acc - 0.5) < 3.0 * math.sqrt(0.25 / trials)
@@ -177,7 +177,7 @@ class TestReprogrammedAccuracy:
         net = random_init(d, 4, rng)
         phi = random_hypercube_direction(d, rng)
         offset = construct_program(net, phi)
-        model = BernoulliModel(direction=phi, radius=1.5, bias=0.5)
+        model = BernoulliModel(direction=phi, rho=1.5, tau=0.5)
         acc_a = reprogrammed_accuracy(net, offset, model, 1, 500, SeededRng(68, 2))
         acc_b = reprogrammed_accuracy(net, offset, model, 1, 500, SeededRng(68, 3))
         assert acc_a == acc_b == 1.0
@@ -186,7 +186,7 @@ class TestReprogrammedAccuracy:
         d = 4
         phi = unit_direction(d)
         dead = TwoLayerNet(weights=np.zeros((1, d)), outputs=np.array([1.0]))
-        model = BernoulliModel(direction=phi, radius=1.0, bias=0.5)
+        model = BernoulliModel(direction=phi, rho=1.0, tau=0.5)
         acc = reprogrammed_accuracy(dead, np.zeros(d), model, 1, 100, SeededRng(69, 0))
         assert acc == 0.0
 
@@ -202,7 +202,7 @@ class TestReprogrammedAccuracy:
         rows = reprogram._block_rows(d)
         trials = blocks * rows + extra
         net = random_init(d, 8, SeededRng(80, d))
-        model = BernoulliModel(direction=unit_direction(d), radius=math.sqrt(d), bias=0.2)
+        model = BernoulliModel(direction=unit_direction(d), rho=math.sqrt(d), tau=0.2)
         offset = SeededRng(81, d).gaussian(d)
         outputs = []
 
@@ -228,7 +228,7 @@ class TestReprogrammedAccuracy:
         # (about 105 MB); blocks and the labels stay below 8 MB
         d = 64
         net = random_init(d, 8, SeededRng(83, 0))
-        model = BernoulliModel(direction=unit_direction(d), radius=math.sqrt(d), bias=0.2)
+        model = BernoulliModel(direction=unit_direction(d), rho=math.sqrt(d), tau=0.2)
         tracemalloc.start()
         try:
             reprogrammed_accuracy(net, np.zeros(d), model, 1, 100_000, SeededRng(84, 0))
@@ -241,7 +241,7 @@ class TestReprogrammedAccuracy:
     def test_offset_of_wrong_shape_is_dimension_mismatch(self, shape):
         d = 16
         net = random_init(d, 4, SeededRng(85, 0))
-        model = BernoulliModel(direction=unit_direction(d), radius=2.0, bias=0.2)
+        model = BernoulliModel(direction=unit_direction(d), rho=2.0, tau=0.2)
         with pytest.raises(ConfigError):
             reprogrammed_accuracy(net, np.ones(shape), model, 1, 100, SeededRng(86, 0))
 
@@ -420,7 +420,7 @@ class TestOptimizeProgram:
         d = 16
         phi = unit_direction(d)
         net = random_init(d, 4, SeededRng(95, 0))
-        model = BernoulliModel(direction=phi, radius=2.0, bias=0.4)
+        model = BernoulliModel(direction=phi, rho=2.0, tau=0.4)
         p_a, losses_a = optimize_program(net, model, 1, 0, 0.01, 8, SeededRng(95, 1))
         p_b, _ = optimize_program(net, model, 1, 0, 0.01, 8, SeededRng(95, 1))
         assert losses_a == []
@@ -432,7 +432,7 @@ class TestOptimizeProgram:
         rng = SeededRng(96, 0)
         net = random_init(d, k, rng)
         phi = random_hypercube_direction(d, rng)
-        model = BernoulliModel(direction=phi, radius=math.sqrt(d), bias=0.4)
+        model = BernoulliModel(direction=phi, rho=math.sqrt(d), tau=0.4)
         _, losses = optimize_program(net, model, 1, 400, 0.01, 64, SeededRng(96, 1))
         window = 50
         smoothed = np.convolve(losses, np.ones(window) / window, mode="valid")
@@ -443,7 +443,7 @@ class TestOptimizeProgram:
         rng = SeededRng(97, 0)
         net = random_init(d, k, rng)
         phi = random_hypercube_direction(d, rng)
-        model = BernoulliModel(direction=phi, radius=math.sqrt(d), bias=0.4)
+        model = BernoulliModel(direction=phi, rho=math.sqrt(d), tau=0.4)
         initial, _ = optimize_program(net, model, 1, 0, 0.01, 64, SeededRng(97, 1))
         final, _ = optimize_program(net, model, 1, 400, 0.01, 64, SeededRng(97, 1))
         acc_before = reprogrammed_accuracy(net, initial, model, 1, 4000, SeededRng(97, 2))
@@ -459,7 +459,7 @@ class TestOptimizeProgram:
         d, k, steps, lr, batch = 32, 6, 40, 0.05, 16
         rng = SeededRng(seed, 0)
         net = random_init(d, k, rng)
-        model = BernoulliModel(direction=random_hypercube_direction(d, rng), radius=3.0, bias=0.3)
+        model = BernoulliModel(direction=random_hypercube_direction(d, rng), rho=3.0, tau=0.3)
         offset, losses = optimize_program(net, model, m, steps, lr, batch, SeededRng(seed, 1))
 
         ref_rng = SeededRng(seed, 1)

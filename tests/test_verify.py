@@ -436,6 +436,15 @@ class TestCorollary1:
         with pytest.raises(ValueError, match="d_list must be strictly increasing"):
             corollary1_sweep(2.0 / 3.0, 0.3, 0.2, d_list, trials=10, seed=1)
 
+    def test_trials_below_2_24_keep_dimensions_apart_before_any_trial(self, monkeypatch):
+        # trial 2^24 at d would draw from trial 0's stream at d + 1
+        def no_trials(args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(verify, "_corollary1_block", no_trials)
+        with pytest.raises(ConfigError, match="trials must be below 2\\^24"):
+            corollary1_sweep(2.0 / 3.0, 0.3, 0.2, (16, 17), trials=1 << 24, seed=1)
+
     def test_construction_error_counts_as_a_failed_trial(self, monkeypatch):
         def sweep():
             verdict, _ = corollary1_sweep(2.0 / 3.0, 0.3, 0.2, (16, 32), trials=10, seed=5)
@@ -449,6 +458,25 @@ class TestCorollary1:
         assert clean["accuracy_d16"] == 1.0  # so the failed trial was a success
         assert measured["accuracy_d16"] == 0.9
         assert measured["accuracy_d32"] == clean["accuracy_d32"]
+
+
+def test_trial_streams_follow_each_suites_formula(monkeypatch):
+    # one block body serves both suites, and each keeps its own stream ids
+    streams = []
+
+    class RecordingRng(SeededRng):
+        def __init__(self, master_seed, stream_id=0):
+            streams.append(stream_id)
+            super().__init__(master_seed, stream_id)
+
+    monkeypatch.setattr(verify, "SeededRng", RecordingRng)
+    theorem1_montecarlo(Theorem1Config(
+        d=16, k=7, rho=16**0.3, tau=0.5, gamma=0.01, gamma_dag=0.01, trials=7, seed=1,
+    ))
+    assert streams == [verify._BASE_THEOREM1 + i for i in range(7)]
+    streams.clear()
+    corollary1_sweep(2.0 / 3.0, 0.3, 0.2, (16, 32), trials=7, seed=1)
+    assert streams == [verify._BASE_COROLLARY1 + (d << 24) + i for d in (16, 32) for i in range(7)]
 
 
 def fail_third_construction(monkeypatch, error) -> None:
@@ -823,8 +851,8 @@ def _nan_calls():
     data = four_point_dataset()
     theta = balanced_live_init(data, 4, 0.5, SeededRng(5, 0))
     net = random_init(16, 4, SeededRng(5, 1))
-    model = BernoulliModel(direction=np.full(16, 0.25), radius=4.0, bias=0.2)
-    model_d4 = BernoulliModel(direction=np.full(4, 0.5), radius=4.0, bias=0.2)
+    model = BernoulliModel(direction=np.full(16, 0.25), rho=4.0, tau=0.2)
+    model_d4 = BernoulliModel(direction=np.full(4, 0.5), rho=4.0, tau=0.2)
     nan_entry = np.eye(2, 4)
     nan_entry[0, 0] = math.nan
     v_pos, v_neg = np.array([1.0, 0.0]), np.array([-1.0, 0.0])
