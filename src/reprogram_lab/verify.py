@@ -35,7 +35,7 @@ from .data_models import (
     random_hypercube_direction,
     sample_bernoulli,
 )
-from .errors import ConfigError, GramNotPositiveDefinite, TieEncountered
+from .errors import ConfigError, TieEncountered
 from .gradient_flow import (
     balanced_live_init,
     convergence_report,
@@ -43,11 +43,10 @@ from .gradient_flow import (
     train_to_directional_limit,
 )
 from .maxmargin import failure_probability_bound, max_margin_vector
-from .network import forward, random_init
+from .network import random_init
 from .numerics import SeededRng, one_blas_thread, singular_extremes
 from .reprogram import (
     build_target_bias,
-    construct_program,
     optimize_program,
     partition_neurons,
     reprogrammed_accuracy,
@@ -71,13 +70,11 @@ _BASE_PROPOSITION = 5 << 40
 _BASE_APPENDIX_A = 6 << 40
 
 _TRIAL_BLOCK = 5  # fixed sharding granularity, independent of thread count
-# Trials whose weight matrix holds fewer entries (k * d) than this run in
-# the calling thread: their numpy calls are so short that trial threads
-# spend more time handing the interpreter lock to each other than they
-# gain.  On 2 cores, two threads took 2.0 times one thread's time for
-# corollary1's d = 256 trials (k * d = 10,496), 1.2 to 1.3 times at
-# d = 1024 (104,448), 0.8 to 1.0 times at d = 2048 (331,776) and 0.65
-# times at d = 4096, k = 256.
+# Trials of fewer weights (k * d) than this run in the calling thread:
+# threads hand the interpreter lock to each other between their short numpy
+# calls and save a few percent at best.  On 2 cores two threads took 1.01 to
+# 1.07 times one thread's time at d = 256 (k * d = 10,496), 0.94 to 0.97 at
+# d = 1024 (104,448), 0.83 to 0.88 at 2048 (331,776) and 0.62 at 4096, k = 256.
 _THREADS_MIN_WEIGHTS = 1 << 18
 
 # Scale of the balanced initialisation of theorem2's and the
@@ -214,18 +211,18 @@ def theorem1_rhs(
 
 
 def _reprogram_trial(rng: SeededRng, d: int, k: int, rho: float, tau: float) -> float:
-    """y * N(p + x) for a fresh random network, task direction, analytic
-    program p and labelled sample (x, y), all drawn from ``rng``; nan when
-    the program cannot be constructed (a construction error)."""
+    """y * N(p + x) = y * sum_j a_j relu(b_j + w_j . x) for a fresh random net,
+    task direction and sample (x, y), all from ``rng``; the program p enters
+    only as its target bias b = W p and is never built.  nan on a tie."""
     net = random_init(d, k, rng)
     phi = random_hypercube_direction(d, rng)
     try:
-        offset = construct_program(net, phi)
-    except (TieEncountered, GramNotPositiveDefinite):
+        _, unhelpful = partition_neurons(net, phi)
+    except TieEncountered:
         return math.nan
-    model = BernoulliModel(direction=phi, rho=rho, tau=tau)
-    xs, ys = sample_bernoulli(model, 1, rng)
-    return ys[0] * forward(net, offset + xs[0])
+    bias = build_target_bias(d, k, unhelpful)
+    xs, ys = sample_bernoulli(BernoulliModel(direction=phi, rho=rho, tau=tau), 1, rng)
+    return ys[0] * float(net.outputs @ np.maximum(net.weights @ xs[0] + bias, 0.0))
 
 
 def _theorem1_block(args) -> list[float]:
@@ -276,7 +273,7 @@ def _run_blocks(
 
     Trials of at least ``_THREADS_MIN_WEIGHTS`` weights (k * d) run on one
     thread per available CPU, smaller ones in the calling thread.  A trial
-    is numpy ufunc loops and LAPACK calls, which release the interpreter
+    is numpy ufunc loops and BLAS calls, which release the interpreter
     lock, so blocks on threads share the cores.  Blocks own their RNG
     streams and are joined in block order, so the values are identical for
     every thread count; with BLAS at one thread they do not depend on the
@@ -305,11 +302,12 @@ def _run_blocks(
 def theorem1_montecarlo(cfg: Theorem1Config) -> SuiteVerdict:
     """Monte-Carlo check of the random-network output bound.
 
-    Each trial draws a fresh network, task direction, and labelled
-    sample (the claim's probability is joint over all three), builds the
-    analytic program, and tests y * N(p + x) > rhs.  The verdict passes
-    if the violation fraction stays within the claimed allowance plus
-    three binomial standard errors.  When the claimed probability floor
+    Each trial draws a fresh network, task direction, and labelled sample
+    (the claim's probability is joint over all three) and tests
+    y * N(p + x) > rhs for the analytic program p, read through W p = b; a
+    tie counts as a violation.  The verdict passes if the violation
+    fraction stays within the claimed allowance plus three binomial
+    standard errors.  When the claimed probability floor
     (1 - C1 gamma)(1 - gamma_dag) is not positive the suite is vacuous:
     it passes and is flagged as such.  ``rhs_positive`` reports whether
     the threshold itself is above zero; when it is not, a pass only says
@@ -388,7 +386,7 @@ def corollary1_sweep(
     For each d the sweep sets k = ceil(d^eta_k) clamped to d,
     rho = d^eta_rho, and tau = d^-eta_tau clamped to 1/2 (flagged), then
     measures joint Monte-Carlo accuracy with label mapping m = 1; a
-    construction error counts as a failed trial and is reported per d.
+    construction error (a tie) counts as a failed trial and is reported per d.
     ``d_list`` must be strictly increasing, and ``trials`` below 2^24 so
     that the trial streams ``(d << 24) + i`` of two dimensions never meet.
     The verdict passes when accuracy at the largest d beats the smallest by
@@ -636,12 +634,20 @@ def proposition_suite(
     theta0 = balanced_live_init(
         data, k, PROPOSITION_INIT_SCALE, SeededRng(seed, _BASE_PROPOSITION + 1)
     )
-    net, steps_used, log_loss, _, _ = train_to_directional_limit(
-        theta0, data, loss_kind, target_loss, budget_steps
-    )
     v_pos = max_margin_vector(data.points[data.labels > 0]).vector
     v_neg = max_margin_vector(data.points[data.labels < 0]).vector
     delta = v_pos - v_neg
+    # each m's task depends on the dataset alone: a bad tau fails before training
+    tasks = []
+    for m in (1, -1):
+        phi = signed_vertex_against(delta, m)
+        bound = failure_probability_bound(v_pos, v_neg, phi, d, tau, m)
+        limit = bound + 3.0 * math.sqrt(bound * (1.0 - bound) / trials)
+        model = BernoulliModel(direction=phi, rho=math.sqrt(d), tau=tau)
+        tasks.append((m, phi, bound, limit, model))
+    net, steps_used, log_loss, _, _ = train_to_directional_limit(
+        theta0, data, loss_kind, target_loss, budget_steps
+    )
 
     measured = {
         "train_steps": steps_used,
@@ -649,13 +655,8 @@ def proposition_suite(
         "trials": trials,
     }
     threshold = {}
-    passed = True
     stream = _BASE_PROPOSITION + 16
-    for m in (1, -1):
-        phi = signed_vertex_against(delta, m)
-        bound = failure_probability_bound(v_pos, v_neg, phi, d, tau, m)
-        limit = bound + 3.0 * math.sqrt(bound * (1.0 - bound) / trials)
-        model = BernoulliModel(direction=phi, rho=math.sqrt(d), tau=tau)
+    for m, phi, bound, limit, model in tasks:
         tag = "pos" if m == 1 else "neg"
         measured[f"bound_m_{tag}"] = bound
         programs = {"zero": np.zeros(d)}
@@ -675,10 +676,9 @@ def proposition_suite(
             key = f"accuracy_{source}_m_{tag}"
             measured[key] = accuracy
             threshold[key] = limit
-            passed = passed and accuracy <= limit
     return SuiteVerdict(
         name="proposition",
-        passed=passed,
+        passed=all(measured[key] <= limit for key, limit in threshold.items()),
         seed=seed,
         runtime_seconds=time.perf_counter() - started,
         measured=measured,

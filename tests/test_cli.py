@@ -310,6 +310,17 @@ class TestExitCodes:
         assert f"{key} must" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_proposition_checks_tau_before_training(self, tmp_path, monkeypatch, capsys):
+        # the data models depend on the dataset alone, so they come first
+        def no_training(*args, **kwargs):
+            raise AssertionError("the net trained")
+
+        monkeypatch.setattr(verify, "train_to_directional_limit", no_training)
+        out = tmp_path / "out"
+        assert run_cli(["verify-proposition", "--tau", "0.7", "--output_dir", str(out)]) == 2
+        assert "tau must" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command,args,key", [
         # a NaN target passed: target <= 0 and log_loss > log(nan) are both false
         ("verify-corollary2", ["--target_loss", "nan", "--budget_steps", "2000"], "target_loss"),

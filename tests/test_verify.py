@@ -10,9 +10,14 @@ import time
 import numpy as np
 import pytest
 
-from reprogram_lab import gradient_flow, numerics, verify
+from reprogram_lab import gradient_flow, numerics, reprogram, verify
 from reprogram_lab.errors import ConfigError, GramNotPositiveDefinite, TieEncountered
-from reprogram_lab.data_models import BernoulliModel, LabeledDataset
+from reprogram_lab.data_models import (
+    BernoulliModel,
+    LabeledDataset,
+    random_hypercube_direction,
+    sample_bernoulli,
+)
 from reprogram_lab.gradient_flow import (
     _log_loss,
     _rescaled_chunk,
@@ -21,7 +26,7 @@ from reprogram_lab.gradient_flow import (
     train_to_crossing,
 )
 from reprogram_lab.maxmargin import failure_probability_bound, max_margin_vector
-from reprogram_lab.network import Kernel, TwoLayerNet, random_init
+from reprogram_lab.network import Kernel, TwoLayerNet, forward, random_init
 from reprogram_lab.numerics import SeededRng
 from reprogram_lab.reprogram import (
     build_target_bias,
@@ -286,7 +291,7 @@ class TestTheorem1Montecarlo:
             d=16, k=7, rho=16**0.3, tau=0.5, gamma=0.01, gamma_dag=0.01, trials=10, seed=5,
         )
         clean = theorem1_montecarlo(cfg).measured
-        fail_third_construction(monkeypatch, GramNotPositiveDefinite)
+        fail_third_partition(monkeypatch)
         measured = theorem1_montecarlo(cfg).measured
         assert (clean["construction_errors"], clean["violations"], clean["accuracy"]) == (0, 0, 1.0)
         assert measured["construction_errors"] == 1
@@ -309,12 +314,7 @@ class TestTheorem1Montecarlo:
         "0.963); a positive-rhs config in reduced mode is needed before this can fail"
     ))
     def test_fails_without_a_program(self, monkeypatch):
-        construct = verify.construct_program
-
-        def zero_program(net, direction):
-            return np.zeros_like(construct(net, direction))
-
-        monkeypatch.setattr(verify, "construct_program", zero_program)
+        plant_zero_program(monkeypatch)
         cfg = Theorem1Config(
             d=256, k=41, rho=256**0.3, tau=256**-0.2, gamma=0.01, gamma_dag=0.01,
             trials=300, seed=97531,
@@ -417,12 +417,7 @@ class TestCorollary1:
     def test_fails_without_a_program(self, monkeypatch):
         # With the program zeroed, this config failed at seeds 1, 2, 3 and
         # 17, with a gap of at most 0.027 against about 0.058 needed.
-        construct = verify.construct_program
-
-        def zero_program(net, direction):
-            return np.zeros_like(construct(net, direction))
-
-        monkeypatch.setattr(verify, "construct_program", zero_program)
+        plant_zero_program(monkeypatch)
         verdict, _ = corollary1_sweep(2.0 / 3.0, 0.3, 0.2, (256, 1024), trials=600, seed=17)
         assert verdict.passed is False
 
@@ -451,13 +446,45 @@ class TestCorollary1:
             return verdict.measured
 
         clean = sweep()
-        fail_third_construction(monkeypatch, TieEncountered)
+        fail_third_partition(monkeypatch)
         measured = sweep()
         assert (clean["construction_errors_d16"], clean["construction_errors_d32"]) == (0, 0)
         assert (measured["construction_errors_d16"], measured["construction_errors_d32"]) == (1, 0)
         assert clean["accuracy_d16"] == 1.0  # so the failed trial was a success
         assert measured["accuracy_d16"] == 0.9
         assert measured["accuracy_d32"] == clean["accuracy_d32"]
+
+
+def solve_based_trial(rng, d, k, rho, tau):
+    """The trial value with the program built: y * N(p + x), p from the solve."""
+    net = random_init(d, k, rng)
+    phi = random_hypercube_direction(d, rng)
+    offset = construct_program(net, phi)
+    xs, ys = sample_bernoulli(BernoulliModel(direction=phi, rho=rho, tau=tau), 1, rng)
+    return ys[0] * forward(net, offset + xs[0]), float(np.linalg.norm(offset))
+
+
+@pytest.mark.parametrize("d, k", [(256, 41), (1024, 102), (64, 64)])
+def test_trial_reads_the_program_through_its_target_bias(d, k):
+    # y * N(p + x) depends on p only through W p = b.  The solve-based value
+    # rounds W (p + x) with entries of size norm(p), which reaches 1e5 at
+    # k = d, so its error is relative to that norm too.
+    rho, tau = d**0.3, min(d**-0.2, 0.5)
+    rhs = theorem1_rhs(d, k, rho, tau, 0.01, 0.01)
+    for i in range(300):
+        value = verify._reprogram_trial(SeededRng(11, i), d, k, rho, tau)
+        solved, p_norm = solve_based_trial(SeededRng(11, i), d, k, rho, tau)
+        assert abs(value - solved) <= 1e-12 * max(1.0, abs(value), p_norm), i
+        assert (value > 0.0, value > rhs) == (solved > 0.0, solved > rhs), i
+
+
+def test_monte_carlo_suites_run_no_solve(monkeypatch):
+    def no_solve(mat, rhs):
+        raise AssertionError("a trial solved for its program")
+
+    monkeypatch.setattr(reprogram, "min_norm_solve", no_solve)
+    assert theorem1_montecarlo(WORKERS_T1).passed
+    assert corollary1_sweep(2.0 / 3.0, 0.3, 0.2, (16, 32), 10, 1)[0].passed
 
 
 def test_trial_streams_follow_each_suites_formula(monkeypatch):
@@ -479,19 +506,24 @@ def test_trial_streams_follow_each_suites_formula(monkeypatch):
     assert streams == [verify._BASE_COROLLARY1 + (d << 24) + i for d in (16, 32) for i in range(7)]
 
 
-def fail_third_construction(monkeypatch, error) -> None:
-    """Make the third call to construct_program from the trial path raise
-    ``error``, one of the construction errors."""
+def fail_third_partition(monkeypatch) -> None:
+    """Make the third call to partition_neurons from the trial path raise
+    TieEncountered, the one construction error."""
     calls = []
-    construct = verify.construct_program
+    partition = verify.partition_neurons
 
     def third_call_fails(net, direction):
         calls.append(net)
         if len(calls) == 3:
-            raise error("injected construction error")
-        return construct(net, direction)
+            raise TieEncountered("injected construction error")
+        return partition(net, direction)
 
-    monkeypatch.setattr(verify, "construct_program", third_call_fails)
+    monkeypatch.setattr(verify, "partition_neurons", third_call_fails)
+
+
+def plant_zero_program(monkeypatch) -> None:
+    """Zero the trial path's target bias, which is its program p = 0: W 0 = 0."""
+    monkeypatch.setattr(verify, "build_target_bias", lambda d, k, unhelpful: np.zeros(k))
 
 
 class TestTheorem2Suite:
@@ -924,9 +956,9 @@ def test_nan_argument_is_a_value_error_naming_it(call):
 
 # suite -> (a BLAS-using callee it looks up on verify, a tiny call of it)
 _HOLD_CALLS = {
-    "theorem1": ("construct_program", lambda: theorem1_montecarlo(WORKERS_T1)),
+    "theorem1": ("partition_neurons", lambda: theorem1_montecarlo(WORKERS_T1)),
     "corollary1": (
-        "construct_program", lambda: corollary1_sweep(2.0 / 3.0, 0.3, 0.2, (16, 32), 10, 1),
+        "partition_neurons", lambda: corollary1_sweep(2.0 / 3.0, 0.3, 0.2, (16, 32), 10, 1),
     ),
     "theorem2": (
         "train_to_crossing",
