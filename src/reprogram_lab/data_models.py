@@ -38,8 +38,8 @@ class BernoulliModel:
             raise ConfigError("direction entries must be exactly ±1/sqrt(d)")
         if abs(np.linalg.norm(phi) - 1.0) > 1e-12:
             raise ConfigError("direction must have unit norm")
-        if not self.rho > 0.0:
-            raise ConfigError("rho must be positive")
+        if not 0.0 < self.rho < math.inf:
+            raise ConfigError("rho must be positive and finite")
         if not 0.0 < self.tau <= 0.5:
             raise ConfigError("tau must lie in (0, 1/2]")
         object.__setattr__(self, "direction", phi)

@@ -56,23 +56,68 @@ class TwoLayerNet:
         )
 
 
-def random_init(d: int, k: int, rng: SeededRng) -> TwoLayerNet:
-    """Network with i.i.d. N(0, 1/d) hidden rows and uniform ±1/sqrt(k) outputs.
-
-    Hidden weights are drawn first (row-major), then the output signs, so a
-    given (seed, stream) always yields the same network bit for bit.
-    """
+def _check_size(d: int, k: int) -> None:
     if d < 1:
         raise ConfigError(f"d must be at least 1, got {d}")
     if k < 1:
         raise ConfigError(f"k must be at least 1, got {k}")
     if k * d > MAX_ENTRIES:
         raise ConfigError(f"d must be at most {MAX_ENTRIES // k} for k = {k}, got {d}")
+
+
+def random_init(d: int, k: int, rng: SeededRng) -> TwoLayerNet:
+    """Network with i.i.d. N(0, 1/d) hidden rows and uniform ±1/sqrt(k) outputs.
+
+    Hidden weights are drawn first (row-major), then the output signs, so a
+    given (seed, stream) always yields the same network bit for bit.
+    """
+    _check_size(d, k)
     w = rng.gaussian(k * d).reshape(k, d)
     w *= 1.0 / math.sqrt(d)
     a = rng.signs(k)
     a *= 1.0 / math.sqrt(k)
     return TwoLayerNet(weights=w, outputs=a)
+
+
+def random_init_products(d: int, k: int, rng: SeededRng):
+    """The net :func:`random_init` draws, read only through products with
+    its hidden weights W, which are never held.
+
+    Returns ``(outputs, products)``: the net's outputs, bit for bit, and a
+    function, to be called once, that maps vectors v_1 .. v_m of shape (d,)
+    to the (m, k) array of W v_i.  The stream moves past W and the outputs
+    at once, so the vectors may be drawn from it first; ``products`` then
+    computes W's Box-Muller blocks (:meth:`SeededRng.gaussian_blocks`) and
+    folds each into the products.  A row split between blocks is summed
+    from its pieces, so a product may differ from
+    ``random_init(d, k, rng).weights @ v`` in its last bits.  ``products``
+    raises :class:`ConfigError` if a product is not finite.
+    """
+    _check_size(d, k)
+    pieces = rng.gaussian_blocks(k * d)
+    outputs = rng.signs(k)
+    outputs *= 1.0 / math.sqrt(k)
+
+    def products(*vectors: np.ndarray) -> np.ndarray:
+        v = np.array(vectors)
+        acc = np.zeros((v.shape[0], k))
+        for position, values in pieces:
+            row, col = divmod(position, d)
+            if col:  # the rest of a row begun in an earlier piece
+                head, values = values[:d - col], values[d - col:]
+                acc[:, row] += v[:, col:col + head.size] @ head
+                row += 1
+            rows = values.size // d
+            if rows:
+                acc[:, row:row + rows] += v @ values[:rows * d].reshape(rows, d).T
+            if values.size > rows * d:  # the start of a row
+                acc[:, row + rows] += v[:, :values.size - rows * d] @ values[rows * d:]
+        acc *= 1.0 / math.sqrt(d)
+        if not np.isfinite(acc).all():
+            raise ConfigError("products with the hidden weights must be finite")
+        return acc
+
+    return outputs, products
 
 
 class Kernel:

@@ -4,7 +4,9 @@ Every routine is deterministic given its inputs.  Random draws come from
 counter-based streams addressed by (master_seed, stream_id), so identical
 seeds replay bitwise-identical sequences and distinct stream ids can be
 handed to independent workers.  Gaussians come from Box-Muller computed
-in blocks of reused buffers straight into the output array.  The angle's
+in blocks of reused buffers, either straight into the output array or
+handed out a block at a time, so a draw can be folded into products
+without ever being held whole.  The angle's
 cosine and sine are not libm's: :func:`_cos_sin_turns` reduces the angle
 word to a quarter turn exactly in integers and evaluates fdlibm's kernel
 polynomials with float adds and multiplies, so the draws depend on no
@@ -192,8 +194,7 @@ class SeededRng:
 
     def uniform64(self, count: int) -> np.ndarray:
         """Next ``count`` raw 64-bit words as a uint64 array."""
-        if count < 0:
-            raise ConfigError("count must be nonnegative")
+        _check_count(count)
         z = self._words(self._counter, count)
         self._counter += count
         return z
@@ -223,7 +224,19 @@ class SeededRng:
         return out
 
     def gaussian(self, count: int) -> np.ndarray:
-        """Independent standard normal samples via Box-Muller.
+        """Independent standard normal samples via Box-Muller: the entries
+        of :meth:`gaussian_blocks`, written straight into one array."""
+        _check_count(count)
+        out = np.empty(count + count % 2)
+        for _ in self.gaussian_blocks(count, out):
+            pass
+        return out[:count]
+
+    def gaussian_blocks(self, count: int, out: np.ndarray | None = None):
+        """Claim the next ``count`` standard normals and return an iterator
+        of ``(position, values)`` pieces: ``values`` are the entries at
+        positions ``position`` onwards of ``gaussian(count)`` on the same
+        stream, bit for bit, and the pieces hold every entry once.
 
         Each uniform pair yields two variates (cosine block first, then
         the sine block); an odd ``count`` discards the final sine variate.
@@ -231,48 +244,71 @@ class SeededRng:
         and sine come from :func:`_cos_sin_turns`, not from libm.  The
         pairs are computed in blocks of ``_GAUSSIAN_BLOCK`` to
         ``_GAUSSIAN_BLOCK_MAX`` pairs (or the whole draw, if it is
-        smaller), in five block-sized rows of reused buffers; the radius
-        and the quarter-turn index are kept in the output's cosine and
-        sine blocks.  The buffers hold at most 5·8·``_GAUSSIAN_BLOCK_MAX``
-        bytes (1.3 MB): below a sixth of the output for draws of 2^18 pairs
+        smaller), and each block yields its cosine piece, then its sine
+        piece.  The stream's counter moves past the draw at once, the
+        blocks are computed as the iterator is advanced.
+
+        With ``out``, a float64 array of 2·⌈count/2⌉ entries, the pieces are
+        views of ``out``, which ends up holding the draw, and the buffers
+        are five block-sized rows: at most 5·8·``_GAUSSIAN_BLOCK_MAX``
+        bytes (1.3 MB), below a sixth of the output for draws of 2^18 pairs
         or more, but 2.5 times the output for draws of up to 2^14 pairs.
+        Without it, the pieces are views of two more rows, overwritten by
+        the next block, so the draw is never held whole (1.8 MB at most).
         """
-        if count < 0:
-            raise ConfigError("count must be nonnegative")
-        if count == 0:
-            return np.empty(0)
+        _check_count(count)
         pairs = (count + 1) // 2
         start = self._counter
         self._counter += 2 * pairs
-        out = np.empty(2 * pairs)
+        return self._box_muller(start, pairs, count, out)
+
+    def _box_muller(self, start: int, pairs: int, count: int, out: np.ndarray | None):
+        """The generator behind :meth:`gaussian_blocks`: ``pairs`` pairs of
+        words from stream position ``start``, radius words first."""
         # At most a sixteenth of the draw once that is above the floor, so
         # for large draws the five block-sized buffer rows stay below a
         # sixth of the output.
         block = min(_GAUSSIAN_BLOCK_MAX, pairs // 16) // _GAUSSIAN_BLOCK * _GAUSSIAN_BLOCK
-        block = min(pairs, max(block, _GAUSSIAN_BLOCK))
-        steps = np.arange(1, 1 + block, dtype=np.uint64)
-        steps *= _UGOLDEN
+        block = max(1, min(pairs, max(block, _GAUSSIAN_BLOCK)))
+        # Rows: steps, the radius and angle words, their scratch, [the
+        # pieces].  One allocation, because malloc hands a freed one back
+        # whole to the next draw: with a buffer per row, corollary1 over
+        # d = 256, 1024 took 134,400 page faults a sweep, and none this way.
+        rows = np.empty((5 if out is not None else 7, block), dtype=np.uint64)
+        steps, words, scratch = rows[0], rows[1:3], rows[3:5]
+        trig, kept = scratch.view(np.float64), rows[5:].view(np.float64)
+        np.multiply(np.arange(1, 1 + block, dtype=np.uint64), _UGOLDEN, out=steps)
         offsets = np.empty((2, 1), dtype=np.uint64)
-        words = np.empty((2, block), dtype=np.uint64)  # radius row, angle row
-        cos_sin = np.empty((2, block))
         for first in range(0, pairs, block):
             n = min(block, pairs - first)
             offsets[:, 0] = self._offset(start + first), self._offset(start + pairs + first)
             w = words[:, :n]
             np.add(steps[:n], offsets, out=w)
-            _mix64_inplace(w, cos_sin[:, :n].view(np.uint64))
+            _mix64_inplace(w, scratch[:, :n])
             w >>= _U11
             w[0] += np.uint64(1)
-            radius = out[first:first + n]
+            if out is None:
+                radius, sin_part = kept[:, :n]
+            else:
+                radius, sin_part = out[first:first + n], out[pairs + first:pairs + first + n]
             np.multiply(w[0], _TO_UNIT, out=radius)  # (0, 1]: log never sees zero
             np.log(radius, out=radius)
             radius *= -2.0
             np.sqrt(radius, out=radius)
-            sin_part = out[pairs + first:pairs + first + n]
-            cos, sin = _cos_sin_turns(w, sin_part.view(np.uint64), cos_sin[:, :n])
+            # the quarter-turn index is kept in the sine piece
+            cos, sin = _cos_sin_turns(w, sin_part.view(np.uint64), trig[:, :n])
             np.multiply(sin, radius, out=sin_part)
             radius *= cos
-        return out[:count]
+            yield first, radius
+            yield pairs + first, sin_part[:count - pairs - first]
+
+
+def _check_count(count: int) -> None:
+    """A draw's size must lie in [0, MAX_ENTRIES]."""
+    if count < 0:
+        raise ConfigError("count must be nonnegative")
+    if count > MAX_ENTRIES:
+        raise ConfigError(f"count must be at most {MAX_ENTRIES}, got {count}")
 
 
 @functools.cache

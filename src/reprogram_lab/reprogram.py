@@ -76,7 +76,14 @@ def partition_neurons(
         raise ConfigError(f"direction has shape {phi.shape}, expected ({net.d},)")
     if not abs(np.linalg.norm(phi) - 1.0) <= 1e-9:
         raise ConfigError("direction must have unit norm")
-    scores = net.outputs * (net.weights @ phi)
+    return partition_scores(net.outputs * (net.weights @ phi))
+
+
+def partition_scores(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Helpful and unhelpful neuron indices for the alignment scores
+    outputs[j] * (weights[j] . direction): the positive and the negative
+    ones.  A score below ``TIE_TOL`` in magnitude raises
+    :class:`TieEncountered`."""
     ties = np.flatnonzero(np.abs(scores) < TIE_TOL)
     if ties.size:
         raise TieEncountered(

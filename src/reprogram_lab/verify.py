@@ -43,12 +43,13 @@ from .gradient_flow import (
     train_to_directional_limit,
 )
 from .maxmargin import failure_probability_bound, max_margin_vector
-from .network import random_init
-from .numerics import SeededRng, one_blas_thread, singular_extremes
+from .network import random_init, random_init_products
+from .numerics import MAX_ENTRIES, SeededRng, one_blas_thread, singular_extremes
 from .reprogram import (
     build_target_bias,
     optimize_program,
     partition_neurons,
+    partition_scores,
     reprogrammed_accuracy,
 )
 
@@ -72,9 +73,10 @@ _BASE_APPENDIX_A = 6 << 40
 _TRIAL_BLOCK = 5  # fixed sharding granularity, independent of thread count
 # Trials of fewer weights (k * d) than this run in the calling thread:
 # threads hand the interpreter lock to each other between their short numpy
-# calls and save a few percent at best.  On 2 cores two threads took 1.01 to
-# 1.07 times one thread's time at d = 256 (k * d = 10,496), 0.94 to 0.97 at
-# d = 1024 (104,448), 0.83 to 0.88 at 2048 (331,776) and 0.62 at 4096, k = 256.
+# calls and save a few percent at best.  On 2 cores two threads took 1.05 to
+# 1.12 times one thread's time at d = 256 (k * d = 10,496), 1.02 to 1.06 at
+# d = 1024 (104,448), 0.94 to 1.03 at 2048 (331,776) and 0.64 to 0.67 at
+# 4096, k = 256.
 _THREADS_MIN_WEIGHTS = 1 << 18
 
 # Scale of the balanced initialisation of theorem2's and the
@@ -190,8 +192,8 @@ def theorem1_rhs(
         raise ConfigError(f"d must not exceed {sys.float_info.max:.3g}")
     if not 0.0 < tau <= 0.5:
         raise ConfigError("tau must lie in (0, 1/2]")
-    if not rho > 0.0:
-        raise ConfigError("rho must be positive")
+    if not 0.0 < rho < math.inf:
+        raise ConfigError("rho must be positive and finite")
     if not (0.0 < gamma < 1.0 and 0.0 < gamma_dag < 1.0):
         raise ConfigError("gamma and gamma_dag must lie in (0, 1)")
     if 2.0 * d * tau * tau < math.log(1.0 / gamma_dag):
@@ -212,17 +214,22 @@ def theorem1_rhs(
 
 def _reprogram_trial(rng: SeededRng, d: int, k: int, rho: float, tau: float) -> float:
     """y * N(p + x) = y * sum_j a_j relu(b_j + w_j . x) for a fresh random net,
-    task direction and sample (x, y), all from ``rng``; the program p enters
-    only as its target bias b = W p and is never built.  nan on a tie."""
-    net = random_init(d, k, rng)
+    task direction and sample (x, y), drawn from ``rng`` word for word as
+    random_init, random_hypercube_direction and sample_bernoulli draw them.
+    The program p enters only as its target bias b = W p and is never
+    built, and the hidden weights W only through W phi and W x:
+    :func:`random_init_products` folds each Box-Muller block of W into them
+    once phi and x are drawn, so no k-by-d array is held.  nan on a tie."""
+    outputs, products = random_init_products(d, k, rng)
     phi = random_hypercube_direction(d, rng)
+    xs, ys = sample_bernoulli(BernoulliModel(direction=phi, rho=rho, tau=tau), 1, rng)
+    w_phi, w_x = products(phi, xs[0])
     try:
-        _, unhelpful = partition_neurons(net, phi)
+        _, unhelpful = partition_scores(outputs * w_phi)
     except TieEncountered:
         return math.nan
     bias = build_target_bias(d, k, unhelpful)
-    xs, ys = sample_bernoulli(BernoulliModel(direction=phi, rho=rho, tau=tau), 1, rng)
-    return ys[0] * float(net.outputs @ np.maximum(net.weights @ xs[0] + bias, 0.0))
+    return ys[0] * float(outputs @ np.maximum(w_x + bias, 0.0))
 
 
 def _theorem1_block(args) -> list[float]:
@@ -629,6 +636,8 @@ def proposition_suite(
     """
     if trials < 1:
         raise ConfigError("trials must be at least 1")
+    if trials > MAX_ENTRIES:  # its labels are one draw: fail before training
+        raise ConfigError(f"trials must be at most {MAX_ENTRIES}, got {trials}")
     started = time.perf_counter()
     data = generate_orthosep(d, n_pos, n_neg, SeededRng(seed, _BASE_PROPOSITION))
     theta0 = balanced_live_init(

@@ -321,6 +321,18 @@ class TestExitCodes:
         assert "tau must" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_proposition_checks_trials_before_training(self, tmp_path, monkeypatch, capsys):
+        # 2^60 labels are past numpy's array size: once "array is too big", exit 1
+        def no_training(*args, **kwargs):
+            raise AssertionError("the net trained")
+
+        monkeypatch.setattr(verify, "train_to_directional_limit", no_training)
+        out = tmp_path / "out"
+        args = ["verify-proposition", "--trials", str(1 << 60), "--output_dir", str(out)]
+        assert run_cli(args) == 2
+        assert "trials must be at most" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command,args,key", [
         # a NaN target passed: target <= 0 and log_loss > log(nan) are both false
         ("verify-corollary2", ["--target_loss", "nan", "--budget_steps", "2000"], "target_loss"),

@@ -14,6 +14,7 @@ from reprogram_lab.network import (
     forward_batch,
     network_to_text,
     random_init,
+    random_init_products,
 )
 from reprogram_lab.numerics import SeededRng
 
@@ -40,6 +41,41 @@ class TestRandomInit:
         b = random_init(8, 5, SeededRng(3, 4))
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.outputs, b.outputs)
+
+
+class TestRandomInitProducts:
+    # (1, 1): one entry; k = 41: the cosine and sine halves split a row;
+    # d = 1001: an odd count, whose last sine variate is dropped, and rows
+    # split between blocks of 2^14 pairs; d = 40000: rows longer than a block
+    @pytest.mark.parametrize("d, k", [
+        (1, 1), (256, 41), (1001, 41), (1001, 1), (3000, 50), (40000, 3), (4096, 256),
+    ])
+    def test_products_match_the_drawn_net(self, d, k):
+        vectors = SeededRng(21, d).gaussian(2 * d).reshape(2, d)
+        rng, reference = SeededRng(20, k), SeededRng(20, k)
+        net = random_init(d, k, reference)
+        outputs, products = random_init_products(d, k, rng)
+        assert rng._counter == reference._counter
+        assert outputs.tobytes() == net.outputs.tobytes()
+        got = products(*vectors)
+        assert got.shape == (2, k)
+        # a sum of d rounded terms is off by a multiple of the sum of their sizes
+        scale = np.abs(vectors) @ np.abs(net.weights).T
+        assert np.all(np.abs(got - vectors @ net.weights.T) <= 1e-15 * scale)
+        assert rng._counter == reference._counter
+
+    def test_checks_the_size_before_drawing(self):
+        rng = SeededRng(22, 0)
+        with pytest.raises(ConfigError, match="^k must be at least 1"):
+            random_init_products(4, 0, rng)
+        with pytest.raises(ConfigError, match="^d must be at most"):
+            random_init_products(1 << 62, 2, rng)
+        assert rng._counter == 0
+
+    def test_non_finite_product_is_a_config_error(self):
+        _, products = random_init_products(4, 3, SeededRng(23, 0))
+        with pytest.raises(ConfigError, match="^products with the hidden weights must be finite"):
+            products(np.array([1.0, math.inf, 0.0, 0.0]))
 
 
 class TestForward:

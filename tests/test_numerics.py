@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from reprogram_lab import numerics
-from reprogram_lab.errors import GramNotPositiveDefinite
+from reprogram_lab.errors import ConfigError, GramNotPositiveDefinite
 from reprogram_lab.numerics import (
     LINSOLVE_TOL,
     SeededRng,
@@ -124,6 +124,29 @@ class TestSeededRng:
         assert blocked.gaussian(count).tobytes() == one_shot_gaussian(reference, count).tobytes()
         assert blocked._counter == reference._counter
         assert np.array_equal(blocked.signs(5), reference.signs(5))
+
+    @pytest.mark.parametrize("count", [0, 1, 3, 2 * _B + 3, 102 * 1024, 41 * 1001, 4096 * 256 + 1])
+    def test_gaussian_blocks_are_the_gaussian_draw(self, count):
+        whole, blocked = SeededRng(97531, 11), SeededRng(97531, 11)
+        expected = whole.gaussian(count)
+        pieces = blocked.gaussian_blocks(count)
+        assert blocked._counter == whole._counter  # before any block is computed
+        got = np.full(count, np.nan)
+        for position, values in pieces:
+            assert np.all(np.isnan(got[position:position + values.size]))
+            got[position:position + values.size] = values
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("method", [
+        "uniform64", "random", "random_open", "signs", "gaussian", "gaussian_blocks",
+    ])
+    def test_draw_above_max_entries_is_a_config_error(self, method):
+        # numpy's own errors ("array is too big", "Maximum allowed size
+        # exceeded") are ValueErrors that name no argument
+        rng = SeededRng(97531, 11)
+        with pytest.raises(ConfigError, match=f"^count must be at most {numerics.MAX_ENTRIES}"):
+            getattr(rng, method)(numerics.MAX_ENTRIES + 1)
+        assert rng._counter == 0
 
     def test_gaussian_close_to_the_libm_formula(self):
         count = 4096 * 256 + 1

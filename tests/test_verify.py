@@ -6,6 +6,7 @@ import os
 import signal
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -506,19 +507,80 @@ def test_trial_streams_follow_each_suites_formula(monkeypatch):
     assert streams == [verify._BASE_COROLLARY1 + (d << 24) + i for d in (16, 32) for i in range(7)]
 
 
+def test_monte_carlo_suites_draw_no_weight_matrix(monkeypatch):
+    def no_net(d, k, rng):
+        raise AssertionError("a trial drew its whole weight matrix")
+
+    monkeypatch.setattr(verify, "random_init", no_net)
+    assert theorem1_montecarlo(WORKERS_T1).passed
+    assert corollary1_sweep(2.0 / 3.0, 0.3, 0.2, (16, 32), 10, 1)[0].passed
+
+
+@pytest.mark.parametrize("d, k", [(256, 41), (1001, 41), (64, 64)])
+def test_trial_draws_what_the_materialised_net_draws(monkeypatch, d, k):
+    # a, phi, x and y bit for bit as when W is drawn whole, before them,
+    # and the stream ends at the same position
+    seen = {}
+
+    def recording(name):
+        original = getattr(verify, name)
+
+        def record(*args, **kwargs):
+            seen[name] = result = original(*args, **kwargs)
+            return result
+
+        monkeypatch.setattr(verify, name, record)
+
+    for name in ("random_init_products", "random_hypercube_direction", "sample_bernoulli"):
+        recording(name)
+    rho, tau = d**0.3, min(d**-0.2, 0.5)
+    for i in range(5):
+        rng, reference = SeededRng(13, i), SeededRng(13, i)
+        verify._reprogram_trial(rng, d, k, rho, tau)
+        net = random_init(d, k, reference)
+        phi = random_hypercube_direction(d, reference)
+        xs, ys = sample_bernoulli(BernoulliModel(direction=phi, rho=rho, tau=tau), 1, reference)
+        assert seen["random_init_products"][0].tobytes() == net.outputs.tobytes()
+        assert seen["random_hypercube_direction"].tobytes() == phi.tobytes()
+        assert seen["sample_bernoulli"][0].tobytes() == xs.tobytes()
+        assert seen["sample_bernoulli"][1].tobytes() == ys.tobytes()
+        assert rng._counter == reference._counter
+
+
+def test_trial_at_the_acceptance_shape_holds_no_weight_matrix():
+    # W alone is 8 MB at d = 4096, k = 256; the trial holds one Box-Muller
+    # block of it.  A fresh thread has no buffers of an earlier trial.
+    d, k = 4096, 256
+    peaks = []
+
+    def one_trial():
+        tracemalloc.start()
+        try:
+            verify._reprogram_trial(SeededRng(97531, 1), d, k, d**0.3, d**-0.2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    thread = threading.Thread(target=one_trial)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    assert peaks and peaks[0] < 3 * 2**20
+
+
 def fail_third_partition(monkeypatch) -> None:
-    """Make the third call to partition_neurons from the trial path raise
+    """Make the third call to partition_scores from the trial path raise
     TieEncountered, the one construction error."""
     calls = []
-    partition = verify.partition_neurons
+    partition = verify.partition_scores
 
-    def third_call_fails(net, direction):
-        calls.append(net)
+    def third_call_fails(scores):
+        calls.append(scores)
         if len(calls) == 3:
             raise TieEncountered("injected construction error")
-        return partition(net, direction)
+        return partition(scores)
 
-    monkeypatch.setattr(verify, "partition_neurons", third_call_fails)
+    monkeypatch.setattr(verify, "partition_scores", third_call_fails)
 
 
 def plant_zero_program(monkeypatch) -> None:
@@ -893,6 +955,17 @@ def _nan_calls():
             ConfigError, "^rho must be positive",
             lambda: theorem1_rhs(64, 8, math.nan, 0.4, 0.05, 0.01),
         ),
+        # rhs was -inf, and NaN trial values counted as ties
+        "theorem1_montecarlo-rho-inf": (
+            ConfigError, "^rho must be positive and finite",
+            lambda: theorem1_montecarlo(Theorem1Config(
+                d=16, k=4, rho=math.inf, tau=0.5, gamma=0.01, gamma_dag=0.01, trials=5, seed=1,
+            )),
+        ),
+        "BernoulliModel-rho-inf": (
+            ConfigError, "^rho must be positive and finite",
+            lambda: BernoulliModel(direction=np.full(16, 0.25), rho=math.inf, tau=0.2),
+        ),
         "optimize_program": (
             ConfigError, "^lr must be positive",
             lambda: optimize_program(net, model, 1, 5, math.nan, 16, SeededRng(5, 2)),
@@ -956,9 +1029,9 @@ def test_nan_argument_is_a_value_error_naming_it(call):
 
 # suite -> (a BLAS-using callee it looks up on verify, a tiny call of it)
 _HOLD_CALLS = {
-    "theorem1": ("partition_neurons", lambda: theorem1_montecarlo(WORKERS_T1)),
+    "theorem1": ("random_init_products", lambda: theorem1_montecarlo(WORKERS_T1)),
     "corollary1": (
-        "partition_neurons", lambda: corollary1_sweep(2.0 / 3.0, 0.3, 0.2, (16, 32), 10, 1),
+        "random_init_products", lambda: corollary1_sweep(2.0 / 3.0, 0.3, 0.2, (16, 32), 10, 1),
     ),
     "theorem2": (
         "train_to_crossing",
