@@ -19,11 +19,7 @@ class ConfigError(ReprogramLabError, ValueError):
 
 
 class GramNotPositiveDefinite(ReprogramLabError):
-    """A Cholesky pivot fell below the positive-definiteness floor.
-
-    Signals a (numerically) rank-deficient Gram matrix, i.e. linearly
-    dependent rows in the system being solved.
-    """
+    """The rows of a system being solved are numerically dependent."""
 
 
 class TieEncountered(ReprogramLabError):

@@ -84,7 +84,6 @@ def max_margin_vector(points: np.ndarray) -> MarginSolution:
         raise ConfigError("the origin is a convex combination of the points; no margin vector")
     rows = x[u > 0.0]
     v = min_norm_solve(rows, np.ones(len(rows)))
-    v += min_norm_solve(rows, 1.0 - rows @ v)  # one refinement step, within the row space
     lam = np.zeros(n)
     lam[u > 0.0] = np.linalg.lstsq(rows.T, v, rcond=None)[0]
     worst = max(kkt_residuals(MarginSolution(v, lam, 0.0), x))

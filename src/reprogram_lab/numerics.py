@@ -4,9 +4,8 @@ Every routine is deterministic given its inputs.  Random draws come from
 counter-based streams addressed by (master_seed, stream_id), so identical
 seeds replay bitwise-identical sequences and distinct stream ids can be
 handed to independent workers.  Gaussians come from Box-Muller computed
-in blocks of reused buffers, either straight into the output array or
-handed out a block at a time, so a draw can be folded into products
-without ever being held whole.  The angle's
+in blocks of reused buffers and handed out a block at a time, so a draw
+can be folded into products without ever being held whole.  The angle's
 cosine and sine are not libm's: :func:`_cos_sin_turns` reduces the angle
 word to a quarter turn exactly in integers and evaluates fdlibm's kernel
 polynomials with float adds and multiplies, so the draws depend on no
@@ -19,12 +18,8 @@ the machine's BLAS thread count, and no idle BLAS thread busy-waits on a
 core.  The count is process-wide: suites started at once from two Python
 threads can end each other's hold early.
 
-Numerical slack lives in two module constants so it can be audited in
-one place:
-
-* ``LINSOLVE_TOL``  residual bound guaranteed by :func:`min_norm_solve`,
-* ``PD_PIVOT_TOL``  floor on the pivots of LAPACK's Cholesky factor,
-  below which a Gram matrix counts as rank deficient.
+Numerical slack lives in one module constant, ``LINSOLVE_TOL``: the
+residual bound guaranteed by :func:`min_norm_solve`.
 """
 
 from __future__ import annotations
@@ -41,10 +36,8 @@ import numpy as np
 from .errors import ConfigError, GramNotPositiveDefinite
 
 LINSOLVE_TOL = 1e-10
-PD_PIVOT_TOL = 1e-12
 
-# Most float64 entries a drawn array may hold: half numpy's cap (the
-# largest intp, in bytes), so a Gaussian draw rounded up to even fits.
+# Most float64 entries a drawn array may hold: half numpy's cap (the largest intp, in bytes).
 MAX_ENTRIES = np.iinfo(np.intp).max // 16
 
 _MASK64 = (1 << 64) - 1
@@ -224,15 +217,15 @@ class SeededRng:
         return out
 
     def gaussian(self, count: int) -> np.ndarray:
-        """Independent standard normal samples via Box-Muller: the entries
-        of :meth:`gaussian_blocks`, written straight into one array."""
-        _check_count(count)
-        out = np.empty(count + count % 2)
-        for _ in self.gaussian_blocks(count, out):
-            pass
-        return out[:count]
+        """Independent standard normal samples via Box-Muller: the pieces
+        of :meth:`gaussian_blocks`, copied into one array."""
+        pieces = self.gaussian_blocks(count)
+        out = np.empty(count)
+        for position, values in pieces:
+            out[position:position + values.size] = values
+        return out
 
-    def gaussian_blocks(self, count: int, out: np.ndarray | None = None):
+    def gaussian_blocks(self, count: int):
         """Claim the next ``count`` standard normals and return an iterator
         of ``(position, values)`` pieces: ``values`` are the entries at
         positions ``position`` onwards of ``gaussian(count)`` on the same
@@ -246,35 +239,31 @@ class SeededRng:
         ``_GAUSSIAN_BLOCK_MAX`` pairs (or the whole draw, if it is
         smaller), and each block yields its cosine piece, then its sine
         piece.  The stream's counter moves past the draw at once, the
-        blocks are computed as the iterator is advanced.
-
-        With ``out``, a float64 array of 2·⌈count/2⌉ entries, the pieces are
-        views of ``out``, which ends up holding the draw, and the buffers
-        are five block-sized rows: at most 5·8·``_GAUSSIAN_BLOCK_MAX``
-        bytes (1.3 MB), below a sixth of the output for draws of 2^18 pairs
-        or more, but 2.5 times the output for draws of up to 2^14 pairs.
-        Without it, the pieces are views of two more rows, overwritten by
-        the next block, so the draw is never held whole (1.8 MB at most).
+        blocks are computed as the iterator is advanced, and each piece is
+        a view that the next block overwrites, so the draw is never held
+        whole; the buffers are seven block-sized rows, 1.8 MB at most.
         """
         _check_count(count)
         pairs = (count + 1) // 2
         start = self._counter
         self._counter += 2 * pairs
-        return self._box_muller(start, pairs, count, out)
+        return self._box_muller(start, pairs, count)
 
-    def _box_muller(self, start: int, pairs: int, count: int, out: np.ndarray | None):
+    def _box_muller(self, start: int, pairs: int, count: int):
         """The generator behind :meth:`gaussian_blocks`: ``pairs`` pairs of
         words from stream position ``start``, radius words first."""
         # At most a sixteenth of the draw once that is above the floor, so
-        # for large draws the five block-sized buffer rows stay below a
-        # sixth of the output.
+        # the buffer rows hold under a quarter of the draw's bytes, and
+        # corollary1's d = 1024 draw runs in blocks of 2^14 pairs.
         block = min(_GAUSSIAN_BLOCK_MAX, pairs // 16) // _GAUSSIAN_BLOCK * _GAUSSIAN_BLOCK
         block = max(1, min(pairs, max(block, _GAUSSIAN_BLOCK)))
-        # Rows: steps, the radius and angle words, their scratch, [the
-        # pieces].  One allocation, because malloc hands a freed one back
+        # Rows: steps, the radius and angle words, their scratch, the
+        # pieces.  One allocation, because malloc hands a freed one back
         # whole to the next draw: with a buffer per row, corollary1 over
         # d = 256, 1024 took 134,400 page faults a sweep, and none this way.
-        rows = np.empty((5 if out is not None else 7, block), dtype=np.uint64)
+        # It starts on a 64-byte line: 16 or 48 bytes past one, a d = 1024 trial took 12% longer.
+        flat = np.empty(7 * block + 7, dtype=np.uint64)
+        rows = flat[-flat.ctypes.data % 64 // 8:][:7 * block].reshape(7, block)
         steps, words, scratch = rows[0], rows[1:3], rows[3:5]
         trig, kept = scratch.view(np.float64), rows[5:].view(np.float64)
         np.multiply(np.arange(1, 1 + block, dtype=np.uint64), _UGOLDEN, out=steps)
@@ -287,10 +276,7 @@ class SeededRng:
             _mix64_inplace(w, scratch[:, :n])
             w >>= _U11
             w[0] += np.uint64(1)
-            if out is None:
-                radius, sin_part = kept[:, :n]
-            else:
-                radius, sin_part = out[first:first + n], out[pairs + first:pairs + first + n]
+            radius, sin_part = kept[:, :n]
             np.multiply(w[0], _TO_UNIT, out=radius)  # (0, 1]: log never sees zero
             np.log(radius, out=radius)
             radius *= -2.0
@@ -360,17 +346,17 @@ def one_blas_thread():
 def min_norm_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Minimum-Euclidean-norm solution p of an underdetermined system mat p = rhs.
 
-    ``mat`` is k-by-d with k <= d and linearly independent rows.  Computes
-    p = matᵀ (mat matᵀ)⁻¹ rhs via LAPACK's Cholesky factor L of the k-by-k
-    Gram matrix; the result satisfies
-    ``norm(mat @ p - rhs) <= LINSOLVE_TOL * max(1, norm(rhs))``.
+    ``mat`` is k-by-d with k <= d and linearly independent rows.  p is
+    LAPACK's least-squares solution (``np.linalg.lstsq``), the minimum-norm
+    one, and satisfies ``norm(mat @ p - rhs) <= LINSOLVE_TOL * max(1, norm(rhs))``.
 
     Raises
     ------
+    ConfigError
+        If an entry of ``mat`` or ``rhs`` is not finite.
     GramNotPositiveDefinite
-        If the Gram matrix is not positive definite or has a Cholesky
-        pivot L[j, j]² below ``PD_PIVOT_TOL`` or NaN (linearly dependent
-        rows, including the case k > d, or a NaN entry).
+        If LAPACK's numerical rank is below k (linearly dependent rows,
+        including the case k > d), or the residual misses its bound.
     """
     w = np.asarray(mat, dtype=np.float64)
     b = np.asarray(rhs, dtype=np.float64)
@@ -378,30 +364,14 @@ def min_norm_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise ConfigError("min_norm_solve expects a 2-D matrix")
     if b.shape != (w.shape[0],):
         raise ConfigError("right-hand side length must equal the row count")
-    try:
-        low = np.linalg.cholesky(w @ w.T)
-    except np.linalg.LinAlgError as exc:
-        raise GramNotPositiveDefinite(f"Gram matrix is not positive definite: {exc}") from exc
-    # LAPACK accepts any positive pivot; the floor also rejects tiny ones.
-    pivots = np.diag(low) ** 2
-    if not np.all(pivots >= PD_PIVOT_TOL):  # a nan pivot fails too
-        raise GramNotPositiveDefinite(
-            f"smallest Cholesky pivot {pivots.min():.3e} is below {PD_PIVOT_TOL:g}"
-        )
-
-    def solve_gram(vec: np.ndarray) -> np.ndarray:
-        return np.linalg.solve(low.T, np.linalg.solve(low, vec))
-
-    p = w.T @ solve_gram(b)
-    # Iterative refinement keeps the residual at the contract level even
-    # for ill-conditioned Gram matrices; corrections live in the row
-    # space, so minimality is preserved.
-    goal = 0.25 * LINSOLVE_TOL * max(1.0, float(np.linalg.norm(b)))
-    for _ in range(4):
-        residual = b - w @ p
-        if float(np.linalg.norm(residual)) <= goal:
-            break
-        p += w.T @ solve_gram(residual)
+    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+        raise ConfigError("min_norm_solve expects finite entries")
+    p, _, rank, _ = np.linalg.lstsq(w, b, rcond=None)
+    if rank < w.shape[0]:
+        raise GramNotPositiveDefinite(f"rows are dependent: numerical rank {rank} of {w.shape[0]}")
+    residual = float(np.linalg.norm(w @ p - b))
+    if residual > LINSOLVE_TOL * max(1.0, float(np.linalg.norm(b))):
+        raise GramNotPositiveDefinite(f"residual {residual:.3e} is above the LINSOLVE_TOL bound")
     return p
 
 

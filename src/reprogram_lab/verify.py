@@ -18,12 +18,11 @@ analytic threshold leaves the unit interval passes vacuously and says so
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -254,21 +253,13 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-@functools.cache
-def _thread_pool() -> ThreadPoolExecutor:
-    """One thread per available CPU, kept for the life of the process.
-
-    Fresh threads on every call would churn malloc arenas: a thread that
-    starts before the previous call's threads have fully exited takes a
-    new arena, and every arena keeps about one weight matrix of freed
-    memory, which raised theorem1's peak RSS by about 10 MB at d = 4096.
-    """
-    return ThreadPoolExecutor(max_workers=available_cpus(), thread_name_prefix="trial-block")
-
-
-# A forked child has none of the parent's pool threads.
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_thread_pool.cache_clear)
+def _check_trials(trials: int) -> None:
+    """Trials lie in [1, 2^24): corollary1's streams of two dimensions are
+    2^24 apart, and 2^24 trials are already 3.4 million block tuples."""
+    if trials < 1:
+        raise ConfigError("trials must be at least 1")
+    if trials >= 1 << 24:
+        raise ConfigError(f"trials must be below 2^24 = {1 << 24}, got {trials}")
 
 
 def _run_blocks(
@@ -279,8 +270,8 @@ def _run_blocks(
     with BLAS held to one thread; ``base`` is the stream id of trial 0.
 
     Trials of at least ``_THREADS_MIN_WEIGHTS`` weights (k * d) run on one
-    thread per available CPU, smaller ones in the calling thread.  A trial
-    is numpy ufunc loops and BLAS calls, which release the interpreter
+    new thread per available CPU, smaller ones in the calling thread.  A
+    trial is numpy ufunc loops and BLAS calls, which release the interpreter
     lock, so blocks on threads share the cores.  Blocks own their RNG
     streams and are joined in block order, so the values are identical for
     every thread count; with BLAS at one thread they do not depend on the
@@ -295,14 +286,12 @@ def _run_blocks(
     with one_blas_thread() as pinned:
         if not pinned or k * d < _THREADS_MIN_WEIGHTS or available_cpus() == 1:
             return np.concatenate([fn(b) for b in blocks])
-        futures = [_thread_pool().submit(fn, b) for b in blocks]
+        pool = ThreadPoolExecutor(available_cpus(), thread_name_prefix="trial-block")
         try:
-            return np.concatenate([future.result() for future in futures])
+            return np.concatenate(list(pool.map(fn, blocks)))
         finally:
-            # on a failed block, let no block run on after BLAS is restored
-            for future in futures:
-                future.cancel()
-            wait(futures)
+            # cancel unstarted blocks and join: none runs on after BLAS is restored
+            pool.shutdown(cancel_futures=True)
 
 
 @one_blas_thread()
@@ -320,8 +309,7 @@ def theorem1_montecarlo(cfg: Theorem1Config) -> SuiteVerdict:
     the threshold itself is above zero; when it is not, a pass only says
     the outputs clear a negative number.  It is not part of the verdict.
     """
-    if cfg.trials < 1:
-        raise ConfigError("trials must be at least 1")
+    _check_trials(cfg.trials)
     started = time.perf_counter()
     rhs = theorem1_rhs(cfg.d, cfg.k, cfg.rho, cfg.tau, cfg.gamma, cfg.gamma_dag)
     floor = (1.0 - BOUND_C1 * cfg.gamma) * (1.0 - cfg.gamma_dag)
@@ -406,10 +394,7 @@ def corollary1_sweep(
         raise ConfigError("every d in d_list must be at least 1")
     if any(b <= a for a, b in zip(d_list, d_list[1:])):
         raise ConfigError(f"d_list must be strictly increasing, got {tuple(d_list)}")
-    if trials < 1:
-        raise ConfigError("trials must be at least 1")
-    if trials >= 1 << 24:
-        raise ConfigError(f"trials must be below 2^24 = {1 << 24}, got {trials}")
+    _check_trials(trials)
     started = time.perf_counter()
     rows = []
     for d in d_list:

@@ -333,6 +333,18 @@ class TestExitCodes:
         assert "trials must be at most" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("trials", [10_000_000_000, 1 << 24])
+    def test_theorem1_bounds_trials_before_any_trial(self, tmp_path, monkeypatch, capsys, trials):
+        # 10^10 trials would be 2·10^9 block tuples, built before the first trial
+        def no_trials(*args, **kwargs):
+            raise AssertionError("trials ran")
+
+        monkeypatch.setattr(verify, "_run_blocks", no_trials)
+        out = tmp_path / "out"
+        assert run_cli(["verify-theorem1", "--trials", str(trials), "--output_dir", str(out)]) == 2
+        assert f"trials must be below 2^24 = {1 << 24}, got {trials}" in capsys.readouterr().err
+        assert not (out / "verify-theorem1.verdict.txt").exists()
+
     @pytest.mark.parametrize("command,args,key", [
         # a NaN target passed: target <= 0 and log_loss > log(nan) are both false
         ("verify-corollary2", ["--target_loss", "nan", "--budget_steps", "2000"], "target_loss"),

@@ -137,6 +137,13 @@ class TestSeededRng:
             got[position:position + values.size] = values
         assert got.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("count", [41 * 256, 102 * 1024, 4096 * 256])
+    def test_block_buffers_start_on_a_cache_line(self, count):
+        # these draws' blocks are whole multiples of 8 words, so every
+        # buffer row starts on a 64-byte line, wherever malloc put the array
+        _, values = next(iter(SeededRng(97531, 11).gaussian_blocks(count)))
+        assert values.ctypes.data % 64 == 0
+
     @pytest.mark.parametrize("method", [
         "uniform64", "random", "random_open", "signs", "gaussian", "gaussian_blocks",
     ])
@@ -268,12 +275,23 @@ class TestMinNormSolve:
         with pytest.raises(GramNotPositiveDefinite):
             min_norm_solve(mat, np.array([1.0, 2.0]))
 
-    def test_tiny_positive_pivot_rejected(self):
-        # LAPACK factors this Gram matrix with a last pivot of about 1e-14;
-        # the explicit floor must still reject it
+    def test_nearly_dependent_rows_are_solved(self):
+        # independent rows whose Gram matrix has a smallest eigenvalue of
+        # about 5e-15: least squares still meets the residual bound
         mat = np.array([[1.0, 0.0, 0.0], [1.0, 1e-7, 0.0]])
-        with pytest.raises(GramNotPositiveDefinite, match="below"):
-            min_norm_solve(mat, np.array([1.0, 2.0]))
+        rhs = np.array([1.0, 2.0])
+        p = min_norm_solve(mat, rhs)
+        assert np.linalg.norm(mat @ p - rhs) <= LINSOLVE_TOL * max(1.0, np.linalg.norm(rhs))
+        np.testing.assert_allclose(p, [1.0, 1e7, 0.0], rtol=1e-9)
+
+    def test_residual_above_the_bound_is_rejected(self, monkeypatch):
+        # a full-rank answer that misses W p = b must not be returned
+        def off_by_one(mat, rhs, rcond):
+            return np.ones(mat.shape[1]), None, mat.shape[0], None
+
+        monkeypatch.setattr(np.linalg, "lstsq", off_by_one)
+        with pytest.raises(GramNotPositiveDefinite, match="^residual"):
+            min_norm_solve(np.eye(2), np.array([3.0, 4.0]))
 
     def test_more_rows_than_columns_rejected(self):
         rng = SeededRng(33, 0)
